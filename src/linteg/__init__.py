@@ -1,9 +1,7 @@
 """Energy- and invariant-conserving Runge-Kutta integrators built on discrete line integrals."""
 
 from .analysis import (
-    ConvergenceReport,
     DriftReport,
-    convergence_report,
     cost_ratio,
     drift_report,
     drift_slope,
@@ -26,8 +24,6 @@ from .polybasis import (
     QuadratureRule,
     gauss_rule,
     integral_table,
-    legendre_eval,
-    legendre_integral,
     legendre_table,
     xi_coefficient,
 )
@@ -52,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "ConvergenceReport",
     "DriftReport",
     "HamiltonianProblem",
     "InvariantSet",
@@ -66,7 +61,6 @@ __all__ = [
     "apply_structure",
     "build_elim_tableau",
     "build_hbvm_tableau",
-    "convergence_report",
     "cost_ratio",
     "drift_report",
     "drift_slope",
@@ -78,8 +72,6 @@ __all__ = [
     "integrate",
     "kepler_invariants",
     "kepler_problem",
-    "legendre_eval",
-    "legendre_integral",
     "legendre_table",
     "max_norm_error",
     "polynomial_oscillator",

@@ -12,38 +12,18 @@ from .integrators import MethodConfig, Trajectory, integrate
 from .problems import HamiltonianProblem, InvariantSet
 
 __all__ = [
-    "ConvergenceReport",
     "DriftReport",
     "estimate_orders",
     "max_norm_error",
     "reference_solution",
     "drift_slope",
     "drift_report",
-    "convergence_report",
     "cost_ratio",
 ]
 
 # a run counts as drift-free when the least-squares slope of |error| against
 # time stays below this rate
 DRIFT_SLOPE_THRESHOLD = 1e-12
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Errors over a halving step-size sequence plus observed orders."""
-
-    step_sizes: np.ndarray
-    errors: np.ndarray
-    orders: np.ndarray
-    iteration_totals: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "step_sizes": self.step_sizes.tolist(),
-            "errors": self.errors.tolist(),
-            "orders": self.orders.tolist(),
-            "iteration_totals": self.iteration_totals.tolist(),
-        }
 
 
 @dataclass(frozen=True)
@@ -159,23 +139,6 @@ def drift_report(
         invariant_bounded=np.abs(inv_slopes) <= slope_threshold,
         alpha_max=alpha_max,
         iteration_total=trajectory.iteration_total,
-    )
-
-
-def convergence_report(step_sizes, errors, iteration_totals=None) -> ConvergenceReport:
-    """Bundle a halving-step error sequence with its observed orders."""
-    step_sizes = np.asarray(step_sizes, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if step_sizes.shape != errors.shape:
-        raise ValueError("step_sizes and errors must have matching shapes")
-    if iteration_totals is None:
-        iteration_totals = np.zeros(step_sizes.shape, dtype=int)
-    orders = estimate_orders(errors) if errors.size >= 2 else np.zeros(0)
-    return ConvergenceReport(
-        step_sizes=step_sizes,
-        errors=errors,
-        orders=orders,
-        iteration_totals=np.asarray(iteration_totals, dtype=int),
     )
 
 

@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -113,12 +113,12 @@ class ExperimentSpec:
         if self.experiment != "tableau":
             if not self.step_sizes:
                 raise ConfigError("need at least one step size (--steps)")
-            if any(h <= 0.0 for h in self.step_sizes):
-                raise ConfigError("step sizes must be positive")
+            if not all(0.0 < h < math.inf for h in self.step_sizes):
+                raise ConfigError("step sizes must be positive and finite")
             if self.experiment == "drift" and len(self.step_sizes) != 1:
                 raise ConfigError("drift runs use exactly one step size")
-            if not self.horizon > 0.0:
-                raise ConfigError(f"horizon must be positive, got {self.horizon}")
+            if not 0.0 < self.horizon < math.inf:
+                raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
             if self.experiment == "alpha-norm" and self.method != "elim":
                 raise ConfigError("alpha-norm tracks the elim scaling; use --method elim")
         if not self.tol > 0.0:
@@ -151,15 +151,6 @@ def _monitored_invariants(spec: ExperimentSpec):
     return None, ()
 
 
-def _steps_for(horizon: float, h: float) -> int:
-    n = int(round(horizon / h))
-    if n < 1 or abs(n * h - horizon) > 1e-9 * horizon:
-        raise ConfigError(
-            f"horizon {horizon!r} is not an integer multiple of step size {h!r}"
-        )
-    return n
-
-
 def _write_csv(path: Path, header: list, rows: list) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -168,17 +159,29 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
         writer.writerows(rows)
 
 
-def _run_convergence(spec: ExperimentSpec, out: Path) -> None:
-    problem = spec.build_problem()
+def _runs(spec: ExperimentSpec, problem: HamiltonianProblem):
+    """Integrate spec's method over its horizon once per step size.
+
+    Yields (h, n_steps, trajectory) as each run finishes.
+    """
     invariants = spec.build_invariants()
     config = spec.method_config()
+    for h in spec.step_sizes:
+        n = int(round(spec.horizon / h))
+        if n < 1 or abs(n * h - spec.horizon) > 1e-9 * spec.horizon:
+            raise ConfigError(
+                f"horizon {spec.horizon!r} is not an integer multiple of step size {h!r}"
+            )
+        yield h, n, integrate(problem, invariants, config, h, n)
+
+
+def _run_convergence(spec: ExperimentSpec, out: Path) -> None:
+    problem = spec.build_problem()
     h_ref = min(spec.step_sizes) / 2.0
     y_ref = reference_solution(problem, h_ref, spec.horizon)
     rows = []
     errors = []
-    for h in spec.step_sizes:
-        n = _steps_for(spec.horizon, h)
-        traj = integrate(problem, invariants, config, h, n)
+    for h, n, traj in _runs(spec, problem):
         err = max_norm_error(traj.states[-1], y_ref)
         errors.append(err)
         order = "" if len(errors) < 2 else _fmt(math.log2(errors[-2] / errors[-1]))
@@ -188,15 +191,10 @@ def _run_convergence(spec: ExperimentSpec, out: Path) -> None:
 
 
 def _run_alpha_norm(spec: ExperimentSpec, out: Path) -> None:
-    problem = spec.build_problem()
-    invariants = spec.build_invariants()
-    config = spec.method_config()
-    nu = invariants.nu
+    nu = spec.nu()
     rows = []
     maxima = []
-    for h in spec.step_sizes:
-        n = _steps_for(spec.horizon, h)
-        traj = integrate(problem, invariants, config, h, n)
+    for h, n, traj in _runs(spec, spec.build_problem()):
         amax = float(np.max(np.abs(traj.alpha)))
         maxima.append(amax)
         for i in range(n):
@@ -216,13 +214,8 @@ def _run_alpha_norm(spec: ExperimentSpec, out: Path) -> None:
 
 
 def _run_iterations(spec: ExperimentSpec, out: Path) -> None:
-    problem = spec.build_problem()
-    invariants = spec.build_invariants()
-    config = spec.method_config()
     rows = []
-    for h in spec.step_sizes:
-        n = _steps_for(spec.horizon, h)
-        traj = integrate(problem, invariants, config, h, n)
+    for h, n, traj in _runs(spec, spec.build_problem()):
         total = traj.iteration_total
         nfall = int(np.count_nonzero(traj.fallback))
         rows.append([_fmt(h), str(n), str(total), str(nfall)])
@@ -232,11 +225,7 @@ def _run_iterations(spec: ExperimentSpec, out: Path) -> None:
 
 def _run_drift(spec: ExperimentSpec, out: Path) -> None:
     problem = spec.build_problem()
-    invariants = spec.build_invariants()
-    config = spec.method_config()
-    h = spec.step_sizes[0]
-    n = _steps_for(spec.horizon, h)
-    traj = integrate(problem, invariants, config, h, n)
+    [(h, n, traj)] = _runs(spec, problem)
     monitored, labels = _monitored_invariants(spec)
     report = drift_report(traj, problem, monitored)
     nu = spec.nu()
@@ -301,12 +290,16 @@ def run_experiment(spec: ExperimentSpec) -> None:
 # ---------------------------------------------------------------------------
 # full benchmark reproduction
 
-_BENCHMARK_METHODS = (
-    ("gauss3", "gauss", 3, None, None, "none"),
-    ("hbvm_12_3", "hbvm", 3, 12, None, "none"),
-    ("ehbvm_12_3_L1", "elim", 3, 12, 12, "L1"),
-    ("ehbvm_12_3_L1L2", "elim", 3, 12, 12, "L1L2"),
-)
+_BENCHMARK_METHODS = {
+    "gauss3": ExperimentSpec("convergence", method="gauss", s=3),
+    "hbvm_12_3": ExperimentSpec("convergence", method="hbvm", s=3, k=12),
+    "ehbvm_12_3_L1": ExperimentSpec(
+        "convergence", method="elim", s=3, k=12, r=12, invariants="L1"
+    ),
+    "ehbvm_12_3_L1L2": ExperimentSpec(
+        "convergence", method="elim", s=3, k=12, r=12, invariants="L1L2"
+    ),
+}
 _BENCHMARK_DENOMS = (30, 60, 120, 240, 480)
 
 
@@ -319,33 +312,35 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
     rest: at the finest steps the order-2s error term sits near 1e-12 and
     would otherwise drown in solver noise.  An explicit --tol overrides
     both."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     problem = kepler_problem(0.6)
     horizon = 20.0 * math.pi
     y_ref = problem.initial_state
-    steps = [math.pi / d for d in _BENCHMARK_DENOMS]
+    steps = tuple(math.pi / d for d in _BENCHMARK_DENOMS)
     conv_tol = tol if tol is not None else 1e-15
     base_tol = tol if tol is not None else _DEFAULT_TOL
+    specs = {
+        label: replace(spec, step_sizes=steps, horizon=horizon, tol=base_tol)
+        for label, spec in _BENCHMARK_METHODS.items()
+    }
+    for spec in specs.values():
+        spec.validate()
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     errors = {}
     iters = {}
     alpha_max = {}
     alpha_series = {}
-    for label, method, s, k, r, which in _BENCHMARK_METHODS:
-        spec = ExperimentSpec(
-            experiment="convergence", method=method, s=s, k=k, r=r,
-            invariants=which, tol=base_tol,
-        )
-        invariants = spec.build_invariants()
-        conv_config = MethodConfig(s=s, k=spec.resolved_k(), r=r, fp_tolerance=conv_tol)
-        base_config = spec.method_config()
-        for h in steps:
-            n = _steps_for(horizon, h)
-            traj = integrate(problem, invariants, conv_config, h, n)
+    for label, spec in specs.items():
+        # one integration per distinct tolerance; with --tol both tables share it
+        conv_runs = _runs(replace(spec, tol=conv_tol), problem)
+        if conv_tol == base_tol:
+            pairs = ((run, run) for run in conv_runs)
+        else:
+            pairs = zip(conv_runs, _runs(spec, problem))
+        for (h, _, traj), (_, _, base) in pairs:
             errors[label, h] = max_norm_error(traj.states[-1], y_ref)
-            base = integrate(problem, invariants, base_config, h, n)
             iters[label, h] = base.iteration_total
-            if invariants is not None:
+            if spec.nu():
                 alpha_max[label, h] = float(np.max(np.abs(base.alpha)))
                 alpha_series[label, h] = base
             print(
@@ -353,7 +348,7 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
                 f"iterations={iters[label, h]}"
             )
 
-    labels = [row[0] for row in _BENCHMARK_METHODS]
+    labels = list(specs)
     conv_rows = []
     for i, h in enumerate(steps):
         row = [_fmt(h)]
@@ -372,7 +367,7 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
     ]
     _write_csv(out_dir / "iterations.csv", ["h"] + labels, iter_rows)
 
-    elim_labels = [row[0] for row in _BENCHMARK_METHODS if row[5] != "none"]
+    elim_labels = [label for label, spec in specs.items() if spec.nu()]
     alpha_rows = []
     for i, h in enumerate(steps):
         row = [_fmt(h)]
@@ -396,14 +391,12 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
         out_dir / "alpha_components.csv", ["n", "t", "alpha_1", "alpha_2"], rows
     )
 
-    for label, method, s, k, r, which in _BENCHMARK_METHODS:
-        spec = ExperimentSpec(
-            experiment="drift", method=method, s=s, k=k, r=r, invariants=which,
-            step_sizes=(0.1,), horizon=1000.0, tol=base_tol,
-            out=str(out_dir / f"drift_{label}.csv"),
-        )
+    for label, spec in specs.items():
         print(f"drift {label}:")
-        run_experiment(spec)
+        run_experiment(replace(
+            spec, experiment="drift", step_sizes=(0.1,), horizon=1000.0,
+            out=str(out_dir / f"drift_{label}.csv"),
+        ))
 
     meta = {
         "problem": "kepler",
@@ -414,7 +407,11 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
         "drift_horizon": 1000.0,
         "fp_tolerance": base_tol,
         "fp_tolerance_convergence": conv_tol,
-        "methods": {row[0]: {"method": row[1], "s": row[2], "k": row[3], "r": row[4], "invariants": row[5]} for row in _BENCHMARK_METHODS},
+        "methods": {
+            label: {"method": spec.method, "s": spec.s, "k": spec.k, "r": spec.r,
+                    "invariants": spec.invariants}
+            for label, spec in specs.items()
+        },
     }
     (out_dir / "parameters.json").write_text(json.dumps(meta, indent=2) + "\n")
     print(f"wrote {out_dir}/")
@@ -460,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+def _spec_from_args(args: argparse.Namespace, env_tol: Optional[float]) -> ExperimentSpec:
     file_values = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -471,8 +468,6 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         }
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    env_tol = os.environ.get("ELIM_FP_TOL")
 
     def pick(name, default):
         flag = getattr(args, name.replace("-", "_"), None)
@@ -494,7 +489,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     if isinstance(horizon, str):
         horizon = parse_step_size(horizon)
 
-    tol = pick("tol", float(env_tol) if env_tol is not None else _DEFAULT_TOL)
+    tol = pick("tol", env_tol if env_tol is not None else _DEFAULT_TOL)
 
     return ExperimentSpec(
         experiment=args.experiment,
@@ -516,16 +511,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        env_value = os.environ.get("ELIM_FP_TOL")
+        env_tol = float(env_value) if env_value is not None else None
         if args.experiment == "reproduce-paper":
-            env_tol = os.environ.get("ELIM_FP_TOL")
-            tol = args.tol if args.tol is not None else (
-                float(env_tol) if env_tol is not None else None
-            )
-            if tol is not None and not tol > 0.0:
-                raise ConfigError(f"tolerance must be positive, got {tol}")
-            _reproduce_paper(Path(args.out_dir), tol)
+            _reproduce_paper(Path(args.out_dir), args.tol if args.tol is not None else env_tol)
         else:
-            run_experiment(_spec_from_args(args))
+            run_experiment(_spec_from_args(args, env_tol))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,14 +14,15 @@ gamma_0 in both cases.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .polybasis import gauss_rule, integral_table, legendre_table
+from .polybasis import integral_table
 from .problems import HamiltonianProblem, InvariantSet
+from .tableau import build_hbvm_tableau
 
 __all__ = [
     "ConfigError",
@@ -137,27 +138,6 @@ class Trajectory:
         return int(self.iterations.sum())
 
 
-# basis operators reused across every step of a run, keyed by (points, s)
-_operator_cache: dict = {}
-_operator_lock = threading.Lock()
-
-
-def _basis_operators(points: int, s: int):
-    key = (points, s)
-    with _operator_lock:
-        ops = _operator_cache.get(key)
-        if ops is None:
-            rule = gauss_rule(points)
-            P = legendre_table(s - 1, rule.nodes).T
-            I = integral_table(s - 1, rule.nodes).T
-            PTB = P.T * rule.weights
-            for arr in (P, I, PTB):
-                arr.flags.writeable = False
-            ops = (I, PTB)
-            _operator_cache[key] = ops
-    return ops
-
-
 def stage_polynomial(
     y0: np.ndarray, h: float, gamma: np.ndarray, eta: np.ndarray, c
 ) -> np.ndarray:
@@ -218,10 +198,11 @@ def _run_step(problem, invariants, config, y0, h, gamma0=None, alpha0=None):
     d = problem.dim
     tol = config.fp_tolerance
 
-    I_k, PTB_k = _basis_operators(k, s)
+    tab_k = build_hbvm_tableau(k, s)
+    I_k, PTB_k = tab_k.I, tab_k.PTB
     if nu:
-        r = config.resolved_r()
-        I_r, PTB_r = _basis_operators(r, s)
+        tab_r = build_hbvm_tableau(config.resolved_r(), s)
+        I_r, PTB_r = tab_r.I, tab_r.PTB
         # even powers h^(2(s-1-j)) for the corrected tail j = s-nu .. s-1
         w = (float(h) * float(h)) ** np.arange(nu - 1, -1, -1)
     else:
@@ -304,13 +285,22 @@ def _run_step(problem, invariants, config, y0, h, gamma0=None, alpha0=None):
     return y1, workspace
 
 
-def _check_state(problem, y0):
+def _validate(problem, config, nu, y0, h):
+    """Check a step's inputs once; return the state as a float array and h as a float."""
+    config.validate(nu=nu)
+    h = float(h)
+    if h == 0.0:
+        raise ConfigError("step size must be nonzero")
+    if not math.isfinite(h):
+        raise ConfigError(f"step size must be finite, got {h!r}")
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (problem.dim,):
         raise ConfigError(
             f"state must have shape ({problem.dim},), got {y0.shape}"
         )
-    return y0
+    if not np.all(np.isfinite(y0)):
+        raise ConfigError("state must be finite")
+    return y0, h
 
 
 def hbvm_step(
@@ -321,11 +311,8 @@ def hbvm_step(
     gamma0: Optional[np.ndarray] = None,
 ):
     """One energy-conserving step; returns (y1, workspace)."""
-    config.validate(nu=0)
-    if h == 0.0:
-        raise ConfigError("step size must be nonzero")
-    y0 = _check_state(problem, y0)
-    return _run_step(problem, None, config, y0, float(h), gamma0=gamma0)
+    y0, h = _validate(problem, config, 0, y0, h)
+    return _run_step(problem, None, config, y0, h, gamma0=gamma0)
 
 
 def elim_step(
@@ -340,12 +327,9 @@ def elim_step(
     """One step conserving the Hamiltonian and the given invariants; returns (y1, workspace)."""
     if invariants is None or invariants.nu < 1:
         raise ConfigError("elim_step needs an InvariantSet with nu >= 1")
-    config.validate(nu=invariants.nu)
-    if h == 0.0:
-        raise ConfigError("step size must be nonzero")
-    y0 = _check_state(problem, y0)
+    y0, h = _validate(problem, config, invariants.nu, y0, h)
     return _run_step(
-        problem, invariants, config, y0, float(h), gamma0=gamma0, alpha0=alpha0
+        problem, invariants, config, y0, h, gamma0=gamma0, alpha0=alpha0
     )
 
 
@@ -358,13 +342,10 @@ def integrate(
 ) -> Trajectory:
     """March n_steps steps of size h from the problem's initial state."""
     nu = invariants.nu if invariants is not None else 0
-    config.validate(nu=nu)
-    if h == 0.0:
-        raise ConfigError("step size must be nonzero")
+    y, h = _validate(problem, config, nu, problem.initial_state, h)
     if n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
 
-    y = problem.initial_state.copy()
     states = np.empty((n_steps + 1, problem.dim))
     states[0] = y
     iterations = np.zeros(n_steps, dtype=int)
@@ -376,7 +357,7 @@ def integrate(
     for i in range(n_steps):
         try:
             y, ws = _run_step(
-                problem, invariants, config, y, float(h), gamma0=gamma0, alpha0=alpha0
+                problem, invariants, config, y, h, gamma0=gamma0, alpha0=alpha0
             )
         except NonConvergence as exc:
             raise NonConvergence(
@@ -402,7 +383,7 @@ def integrate(
     else:
         invariant_error = np.zeros((n_steps + 1, 0))
     return Trajectory(
-        h=float(h),
+        h=h,
         times=times,
         states=states,
         h_error=h_error,

@@ -22,8 +22,6 @@ import numpy as np
 __all__ = [
     "QuadratureRule",
     "gauss_rule",
-    "legendre_eval",
-    "legendre_integral",
     "legendre_table",
     "integral_table",
     "xi_coefficient",
@@ -111,11 +109,6 @@ def legendre_table(n_max: int, x) -> np.ndarray:
     return out * scale.reshape((n_max + 1,) + (1,) * t.ndim)
 
 
-def legendre_eval(j: int, x):
-    """Evaluate the orthonormal shifted Legendre polynomial P_j at x in [0, 1]."""
-    return legendre_table(j, x)[j]
-
-
 def xi_coefficient(i: int) -> float:
     """Recurrence constant xi_i = 1 / (2 sqrt(4 i^2 - 1)) linking P_{i-1} and P_i integrals."""
     if i < 1:
@@ -136,8 +129,3 @@ def integral_table(n_max: int, c) -> np.ndarray:
     for j in range(1, n_max + 1):
         out[j] = xi_coefficient(j + 1) * table[j + 1] - xi_coefficient(j) * table[j - 1]
     return out
-
-
-def legendre_integral(j: int, c):
-    """Evaluate int_0^c P_j(x) dx for c in [0, 1]."""
-    return integral_table(j, c)[j]

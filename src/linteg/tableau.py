@@ -13,7 +13,8 @@ cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,7 +55,8 @@ class TableauMatrices:
     """k-stage tableau with its line-integral factors.
 
     P and I are k x s (basis values and antiderivatives at the abscissae),
-    omega holds the k quadrature weights, A = I diag(eta) P^T diag(omega).
+    PTB = P^T diag(b) is the s x k projection onto the basis, and
+    A = I diag(eta) PTB.
     """
 
     s: int
@@ -63,37 +65,39 @@ class TableauMatrices:
     b: np.ndarray
     P: np.ndarray
     I: np.ndarray
-    omega: np.ndarray
+    PTB: np.ndarray
     A: np.ndarray
 
 
-def _assemble(k: int, s: int, eta: np.ndarray) -> TableauMatrices:
+@functools.lru_cache(maxsize=None)
+def build_hbvm_tableau(k: int, s: int) -> TableauMatrices:
+    """Tableau of HBVM(k, s); reduces to the s-stage Gauss method when k = s.
+
+    The record is cached per (k, s) and its arrays are read-only, so every
+    caller (the steppers included) shares one copy of the operators.
+    """
+    if s < 1:
+        raise ValueError(f"need s >= 1, got s={s}")
+    if k < s:
+        raise ValueError(f"need k >= s, got k={k}, s={s}")
     rule = gauss_rule(k)
     c, b = rule.nodes, rule.weights
     P = legendre_table(s - 1, c).T
     I = integral_table(s - 1, c).T
-    A = (I * eta) @ (P.T * b)
-    return TableauMatrices(s=s, k=k, c=c, b=b, P=P, I=I, omega=b, A=A)
-
-
-def build_hbvm_tableau(k: int, s: int) -> TableauMatrices:
-    """Tableau of HBVM(k, s); reduces to the s-stage Gauss method when k = s."""
-    if s < 1:
-        raise ValueError(f"need s >= 1, got s={s}")
-    if k < s:
-        raise ValueError(f"need k >= s, got k={k}, s={s}")
-    return _assemble(k, s, np.ones(s))
+    PTB = P.T * b
+    # build_elim_tableau's expression at eta = 1, so the two agree bit for bit
+    A = (I * np.ones(s)) @ PTB
+    for arr in (P, I, PTB, A):
+        arr.flags.writeable = False
+    return TableauMatrices(s=s, k=k, c=c, b=b, P=P, I=I, PTB=PTB, A=A)
 
 
 def build_elim_tableau(k: int, s: int, sigma: SigmaScaling) -> TableauMatrices:
     """Tableau with the stage polynomial rescaled by sigma (affine in each eta entry)."""
-    if s < 1:
-        raise ValueError(f"need s >= 1, got s={s}")
-    if k < s:
-        raise ValueError(f"need k >= s, got k={k}, s={s}")
+    base = build_hbvm_tableau(k, s)
     if sigma.s != s:
         raise ValueError(f"sigma built for s={sigma.s}, tableau wants s={s}")
-    return _assemble(k, s, sigma.eta)
+    return replace(base, A=(base.I * sigma.eta) @ base.PTB)
 
 
 def xhat_matrix(s: int) -> np.ndarray:

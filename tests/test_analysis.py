@@ -7,9 +7,7 @@ import pytest
 
 from linteg.analysis import (
     DRIFT_SLOPE_THRESHOLD,
-    ConvergenceReport,
     DriftReport,
-    convergence_report,
     cost_ratio,
     drift_report,
     drift_slope,
@@ -105,19 +103,6 @@ def test_drift_report_to_json():
     traj = integrate(prob, None, MethodConfig(s=2, k=4), h=0.1, n_steps=10)
     payload = drift_report(traj, prob).to_json()
     assert set(payload) >= {"h_max", "h_slope", "h_bounded", "iteration_total"}
-
-
-def test_convergence_report():
-    steps = [0.2, 0.1, 0.05]
-    errors = [8e-4, 5.2e-5, 3.2e-6]
-    report = convergence_report(steps, errors, iteration_totals=[10, 20, 40])
-    assert isinstance(report, ConvergenceReport)
-    np.testing.assert_allclose(
-        report.orders, np.log2(np.array([8e-4 / 5.2e-5, 5.2e-5 / 3.2e-6])), rtol=1e-12
-    )
-    payload = report.to_json()
-    assert payload["step_sizes"] == steps
-    assert payload["iteration_totals"] == [10, 20, 40]
 
 
 def test_cost_ratio_reference_values():

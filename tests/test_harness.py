@@ -146,6 +146,14 @@ def test_validation_fails_before_writing(tmp_path):
     ])
     assert code == 2
     assert not out.exists()
+    # non-finite step sizes and horizons are configuration errors too
+    for steps, horizon in (("nan", "2pi"), ("pi/30", "inf"), ("pi/30", "nan")):
+        code = main([
+            "convergence", "--method", "hbvm", "-s", "2", "-k", "4",
+            "--steps", steps, "--horizon", horizon, "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
 
 
 def test_nonconvergence_exit_code(tmp_path):

@@ -20,6 +20,7 @@ from linteg.problems import (
     kepler_problem,
     polynomial_oscillator,
 )
+from linteg.tableau import build_hbvm_tableau
 
 GAUSS_A = {
     1: np.array([[0.5]]),
@@ -40,10 +41,22 @@ GAUSS_B = {
 }
 
 
-def _classical_gauss_step(f, y0, h, s, sweeps=400, tol=1e-15):
-    # reference implementation: plain stage iteration on the textbook tableau
-    A, b = GAUSS_A[s], GAUSS_B[s]
-    K = np.tile(f(y0), (s, 1))
+# (k, s) cases: classical Gauss from the literature, then HBVM with k > s
+STEP_CASES = pytest.mark.parametrize(
+    "k, s", [(1, 1), (2, 2), (3, 3), (6, 3), (12, 3)], ids=["1", "2", "3", "6-3", "12-3"]
+)
+
+
+def _reference_tableau(k, s):
+    if k == s:
+        return GAUSS_A[s], GAUSS_B[s]
+    tab = build_hbvm_tableau(k, s)
+    return tab.A, tab.b
+
+
+def _classical_gauss_step(f, y0, h, A, b, sweeps=400, tol=1e-15):
+    # reference implementation: plain stage iteration on the full k-stage tableau
+    K = np.tile(f(y0), (len(b), 1))
     for _ in range(sweeps):
         K_new = f(y0 + h * (A @ K))
         if np.max(np.abs(K_new - K)) <= tol:
@@ -96,22 +109,24 @@ def test_stage_polynomial_endpoint_is_update():
     np.testing.assert_allclose(u[0], y0 + 0.7 * gamma[0], rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("s", [1, 2, 3])
-def test_gauss_equivalence_quadratic_hamiltonian(s):
-    rng = np.random.default_rng(100 + s)
+@STEP_CASES
+def test_gauss_equivalence_quadratic_hamiltonian(k, s):
+    rng = np.random.default_rng(100 + k)
     prob = _random_quadratic_problem(rng)
     h = 0.05
-    y_ref = _classical_gauss_step(prob.vector_field, prob.initial_state, h, s)
-    y1, _ = hbvm_step(prob, MethodConfig(s=s, k=s, fp_tolerance=1e-15), prob.initial_state, h)
+    y_ref = _classical_gauss_step(prob.vector_field, prob.initial_state, h, *_reference_tableau(k, s))
+    y1, _ = hbvm_step(prob, MethodConfig(s=s, k=k, fp_tolerance=1e-15), prob.initial_state, h)
     np.testing.assert_allclose(y1, y_ref, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("s", [1, 2, 3])
-def test_gauss_equivalence_kepler(s):
+@STEP_CASES
+def test_gauss_equivalence_kepler(k, s):
     prob = kepler_problem(0.3)
-    h = 0.02
-    y_ref = _classical_gauss_step(prob.vector_field, prob.initial_state, h, s)
-    y1, _ = hbvm_step(prob, MethodConfig(s=s, k=s, fp_tolerance=1e-15), prob.initial_state, h)
+    # at h = 0.02 HBVM(k, 3) and Gauss(3) differ by ~1e-14, below the bound,
+    # so the k > s cases take a step long enough (~6e-10 apart) to tell them apart
+    h = 0.02 if k == s else 0.1
+    y_ref = _classical_gauss_step(prob.vector_field, prob.initial_state, h, *_reference_tableau(k, s))
+    y1, _ = hbvm_step(prob, MethodConfig(s=s, k=k, fp_tolerance=1e-15), prob.initial_state, h)
     np.testing.assert_allclose(y1, y_ref, rtol=0, atol=1e-12)
 
 
@@ -359,6 +374,20 @@ def test_step_rejects_bad_inputs():
         hbvm_step(prob, MethodConfig(s=2, k=4), np.zeros(3), 0.1)
     with pytest.raises(ConfigError):
         elim_step(prob, None, MethodConfig(s=2, k=4), prob.initial_state, 0.1)
+    # non-finite inputs are rejected up front instead of burning fp_max_iters sweeps
+    for h in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            hbvm_step(prob, MethodConfig(s=2, k=4), prob.initial_state, h)
+        with pytest.raises(ConfigError):
+            elim_step(prob, inv, MethodConfig(s=2, k=4), prob.initial_state, h)
+        with pytest.raises(ConfigError):
+            integrate(prob, None, MethodConfig(s=2, k=4), h, 5)
+    bad_state = prob.initial_state.copy()
+    bad_state[2] = np.nan
+    with pytest.raises(ConfigError):
+        hbvm_step(prob, MethodConfig(s=2, k=4), bad_state, 0.1)
+    with pytest.raises(ConfigError):
+        elim_step(prob, inv, MethodConfig(s=2, k=4), bad_state, 0.1)
 
 
 def test_resolved_r_defaults_to_k():

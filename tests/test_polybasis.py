@@ -8,8 +8,6 @@ import pytest
 from linteg.polybasis import (
     gauss_rule,
     integral_table,
-    legendre_eval,
-    legendre_integral,
     legendre_table,
     xi_coefficient,
 )
@@ -27,14 +25,14 @@ GAUSS5_WEIGHTS = [0.11846344252809454, 0.23931433524968324, 0.28444444444444444,
 
 
 def test_legendre_frozen_values():
-    assert legendre_eval(5, np.array(0.37)) == pytest.approx(P5_AT_037, abs=1e-14)
-    assert legendre_eval(3, np.array(0.2)) == pytest.approx(P3_AT_02, abs=1e-14)
-    assert legendre_eval(0, np.array(0.83)) == 1.0
+    assert legendre_table(5, np.array(0.37))[5] == pytest.approx(P5_AT_037, abs=1e-14)
+    assert legendre_table(3, np.array(0.2))[3] == pytest.approx(P3_AT_02, abs=1e-14)
+    assert legendre_table(0, np.array(0.83))[0] == 1.0
 
 
 def test_integral_frozen_values():
-    assert legendre_integral(2, np.array(0.4)) == pytest.approx(INT_P2_TO_04, abs=1e-15)
-    assert legendre_integral(4, np.array(0.7)) == pytest.approx(INT_P4_TO_07, abs=1e-15)
+    assert integral_table(2, np.array(0.4))[2] == pytest.approx(INT_P2_TO_04, abs=1e-15)
+    assert integral_table(4, np.array(0.7))[4] == pytest.approx(INT_P4_TO_07, abs=1e-15)
 
 
 def test_gauss5_frozen_values():
@@ -117,7 +115,7 @@ def test_legendre_table_shape_and_consistency():
     table = legendre_table(6, x)
     assert table.shape == (7, 7, 1)
     for j in range(7):
-        np.testing.assert_array_equal(table[j], legendre_eval(j, x))
+        np.testing.assert_array_equal(table[j], legendre_table(j, x)[j])
 
 
 def test_integral_table_matches_quadrature():
@@ -129,7 +127,7 @@ def test_integral_table_matches_quadrature():
     assert table.shape == (6, 5)
     for j in range(6):
         for i, ci in enumerate(c):
-            values = legendre_eval(j, ci * rule.nodes)
+            values = legendre_table(j, ci * rule.nodes)[j]
             assert table[j, i] == pytest.approx(
                 ci * np.sum(rule.weights * values), abs=1e-14
             )
@@ -149,8 +147,8 @@ def test_integral_is_antiderivative():
     j = 4
     c = np.linspace(0.1, 0.9, 17)
     eps = 1e-6
-    fd = (legendre_integral(j, c + eps) - legendre_integral(j, c - eps)) / (2 * eps)
-    np.testing.assert_allclose(fd, legendre_eval(j, c), rtol=0, atol=1e-8)
+    fd = (integral_table(j, c + eps)[j] - integral_table(j, c - eps)[j]) / (2 * eps)
+    np.testing.assert_allclose(fd, legendre_table(j, c)[j], rtol=0, atol=1e-8)
 
 
 def test_xi_coefficient():

@@ -1,5 +1,8 @@
 """Butcher tableau assembly for the conserving collocation-type methods."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -73,6 +76,38 @@ def test_tableau_fields():
     np.testing.assert_array_equal(tab.c, rule.nodes)
     np.testing.assert_array_equal(tab.b, rule.weights)
     np.testing.assert_array_equal(tab.P, legendre_table(1, rule.nodes).T)
+    assert tab.PTB.shape == (2, 7)
+    np.testing.assert_array_equal(tab.PTB, tab.P.T * tab.b)
+
+
+def test_hbvm_tableau_cached_read_only_and_thread_safe():
+    tab = build_hbvm_tableau(10, 4)
+    assert build_hbvm_tableau(10, 4) is tab
+    for arr in (tab.c, tab.b, tab.P, tab.I, tab.PTB, tab.A):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        tab.A[0, 0] = 0.0
+    # concurrent misses may build twice, but every caller sees the same values
+    build_hbvm_tableau.cache_clear()
+    results = []
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda: results.append(build_hbvm_tableau(10, 4)))
+            for _ in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert len(results) == 8
+    for other in results:
+        for name in ("P", "I", "PTB", "A"):
+            np.testing.assert_array_equal(getattr(other, name), getattr(tab, name))
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
