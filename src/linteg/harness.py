@@ -121,10 +121,26 @@ class ExperimentSpec:
                 raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
             if self.experiment == "alpha-norm" and self.method != "elim":
                 raise ConfigError("alpha-norm tracks the elim scaling; use --method elim")
+            self.step_counts()
         if not self.tol > 0.0:
             raise ConfigError(f"tolerance must be positive, got {self.tol}")
         # fail on impossible method parameters before any stepping
         self.method_config().validate(nu=self.nu())
+
+    def step_counts(self) -> list:
+        """(h, n_steps) for each step size; the horizon must be a whole multiple of each."""
+        counts = []
+        for h in self.step_sizes:
+            ratio = self.horizon / h
+            if not math.isfinite(ratio):
+                raise ConfigError(f"horizon {self.horizon!r} / step size {h!r} is not finite")
+            n = int(round(ratio))
+            if n < 1 or abs(n * h - self.horizon) > 1e-9 * self.horizon:
+                raise ConfigError(
+                    f"horizon {self.horizon!r} is not an integer multiple of step size {h!r}"
+                )
+            counts.append((h, n))
+        return counts
 
     def method_config(self) -> MethodConfig:
         return MethodConfig(
@@ -166,12 +182,7 @@ def _runs(spec: ExperimentSpec, problem: HamiltonianProblem):
     """
     invariants = spec.build_invariants()
     config = spec.method_config()
-    for h in spec.step_sizes:
-        n = int(round(spec.horizon / h))
-        if n < 1 or abs(n * h - spec.horizon) > 1e-9 * spec.horizon:
-            raise ConfigError(
-                f"horizon {spec.horizon!r} is not an integer multiple of step size {h!r}"
-            )
+    for h, n in spec.step_counts():
         yield h, n, integrate(problem, invariants, config, h, n)
 
 
@@ -512,7 +523,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         env_value = os.environ.get("ELIM_FP_TOL")
-        env_tol = float(env_value) if env_value is not None else None
+        try:
+            env_tol = float(env_value) if env_value is not None else None
+        except ValueError:
+            raise ConfigError(f"ELIM_FP_TOL must be a number, got {env_value!r}") from None
         if args.experiment == "reproduce-paper":
             _reproduce_paper(Path(args.out_dir), args.tol if args.tol is not None else env_tol)
         else:

@@ -38,6 +38,8 @@ __all__ = [
 
 
 _EPS = float(np.finfo(float).eps)
+# a scaling system whose 1-norm condition number exceeds this falls back to alpha = 0
+_COND_BOUND = 1e8
 
 
 class ConfigError(ValueError):
@@ -70,7 +72,6 @@ class MethodConfig:
     fp_tolerance: float = 1e-14
     fp_max_iters: int = 200
     warm_start: bool = False
-    gamma_fallback_threshold: float = 1e8
 
     def resolved_r(self) -> int:
         return self.k if self.r is None else self.r
@@ -93,11 +94,6 @@ class MethodConfig:
             raise ConfigError(f"fp_tolerance must be positive, got {self.fp_tolerance}")
         if self.fp_max_iters < 1:
             raise ConfigError(f"fp_max_iters must be >= 1, got {self.fp_max_iters}")
-        if not self.gamma_fallback_threshold > 0.0:
-            raise ConfigError(
-                f"gamma_fallback_threshold must be positive, "
-                f"got {self.gamma_fallback_threshold}"
-            )
 
 
 @dataclass
@@ -106,7 +102,6 @@ class StepWorkspace:
 
     gamma: np.ndarray
     eta: np.ndarray
-    phi: Optional[np.ndarray]
     alpha: np.ndarray
     Gamma: np.ndarray
     rhs: np.ndarray
@@ -159,7 +154,7 @@ def stage_polynomial(
     return out
 
 
-def _solve_scaling(Gamma, rhs, w, threshold, alpha_old, rhs_noise):
+def _solve_scaling(Gamma, rhs, w, alpha_old, rhs_noise):
     """Solve Gamma alpha = rhs; fall back to alpha = 0 on a degenerate system.
 
     Besides singularity and the conditioning bound, a solution with
@@ -181,7 +176,7 @@ def _solve_scaling(Gamma, rhs, w, threshold, alpha_old, rhs_noise):
     except np.linalg.LinAlgError:
         return zeros, True
     cond = np.linalg.norm(Gamma, 1) * np.linalg.norm(inv, 1)
-    if not np.isfinite(cond) or cond > threshold:
+    if not np.isfinite(cond) or cond > _COND_BOUND:
         return zeros, True
     alpha = inv @ rhs
     if not np.all(np.isfinite(alpha)) or np.max(np.abs(w * alpha)) > 1.0:
@@ -198,22 +193,26 @@ def _run_step(problem, invariants, config, y0, h, gamma0=None, alpha0=None):
     d = problem.dim
     tol = config.fp_tolerance
 
+    # One stage array U: rows [:k] are the Hamiltonian nodes, rows [-r:] the
+    # invariant nodes.  With r = k the cached tableau is the same record and
+    # both views cover the same rows; otherwise the r-node rows are stacked
+    # under the k-node ones.
     tab_k = build_hbvm_tableau(k, s)
-    I_k, PTB_k = tab_k.I, tab_k.PTB
+    I, PTB_k = tab_k.I, tab_k.PTB
     if nu:
-        tab_r = build_hbvm_tableau(config.resolved_r(), s)
-        I_r, PTB_r = tab_r.I, tab_r.PTB
+        r = config.resolved_r()
+        tab_r = build_hbvm_tableau(r, s)
+        PTB_r = tab_r.PTB
+        if tab_r is not tab_k:
+            I = np.vstack((I, tab_r.I))
         # even powers h^(2(s-1-j)) for the corrected tail j = s-nu .. s-1
         w = (float(h) * float(h)) ** np.arange(nu - 1, -1, -1)
-    else:
-        w = np.zeros(0)
 
     G = np.zeros((s, d)) if gamma0 is None else np.array(gamma0, dtype=float)
     alpha = np.zeros(nu) if alpha0 is None else np.array(alpha0, dtype=float)
     eta = np.ones(s)
     if nu:
         eta[s - nu :] = 1.0 - w * alpha
-    Phi = np.zeros((s, d, nu)) if nu else None
     Gamma = np.zeros((nu, nu))
     rhs = np.zeros(nu)
     fallback = False
@@ -226,40 +225,29 @@ def _run_step(problem, invariants, config, y0, h, gamma0=None, alpha0=None):
     # norm(inv(Gamma)), so a raw alpha difference never settles to the
     # tolerance, while the stage values see every unknown at the scale that
     # actually enters the update y1 = y0 + h gamma_0.
-    U = y0 + h * ((I_k * eta) @ G)
-    U_r = y0 + h * ((I_r * eta) @ G) if nu else None
+    U = y0 + h * ((I * eta) @ G)
 
     for _ in range(config.fp_max_iters):
-        G_new = PTB_k @ problem.vector_field(U)
+        G = PTB_k @ problem.vector_field(U[:k])
         if nu:
-            Phi_new = np.tensordot(PTB_r, invariants.gradients(U_r), axes=(1, 0))
-            prods = np.einsum("jdv,jd->jv", Phi_new, G_new)
+            Phi = np.tensordot(PTB_r, invariants.gradients(U[-r:]), axes=(1, 0))
+            prods = np.einsum("jdv,jd->jv", Phi, G)
             rhs = prods.sum(axis=0)
             Gamma = (w[:, None] * prods[s - nu :]).T
             # round-off scale of the rhs assembly (4 s d terms, inf over invariants)
             rhs_noise = (
                 4.0 * s * d * _EPS
-                * float(np.max(np.einsum("jdv,jd->v", np.abs(Phi_new), np.abs(G_new))))
+                * float(np.max(np.einsum("jdv,jd->v", np.abs(Phi), np.abs(G))))
             )
-            alpha_new, fallback = _solve_scaling(
-                Gamma, rhs, w, config.gamma_fallback_threshold, alpha, rhs_noise
-            )
+            alpha, fallback = _solve_scaling(Gamma, rhs, w, alpha, rhs_noise)
             fallback_sweeps += int(fallback)
-            eta_new = np.ones(s)
-            eta_new[s - nu :] = 1.0 - w * alpha_new
-        else:
-            Phi_new, alpha_new, eta_new = Phi, alpha, eta
+            eta[s - nu :] = 1.0 - w * alpha
 
         iterations += 1
-        U_next = y0 + h * ((I_k * eta_new) @ G_new)
+        U_next = y0 + h * ((I * eta) @ G)
         residual = float(np.max(np.abs(U_next - U)))
         scale = 1.0 + float(np.max(np.abs(U_next)))
-        if nu:
-            U_r_next = y0 + h * ((I_r * eta_new) @ G_new)
-            residual = max(residual, float(np.max(np.abs(U_r_next - U_r))))
-            scale = max(scale, 1.0 + float(np.max(np.abs(U_r_next))))
-            U_r = U_r_next
-        G, Phi, alpha, eta, U = G_new, Phi_new, alpha_new, eta_new, U_next
+        U = U_next
         if residual <= tol * scale:
             break
     else:
@@ -274,7 +262,6 @@ def _run_step(problem, invariants, config, y0, h, gamma0=None, alpha0=None):
     workspace = StepWorkspace(
         gamma=G,
         eta=eta,
-        phi=Phi,
         alpha=alpha,
         Gamma=Gamma,
         rhs=rhs,
@@ -308,11 +295,10 @@ def hbvm_step(
     config: MethodConfig,
     y0: np.ndarray,
     h: float,
-    gamma0: Optional[np.ndarray] = None,
 ):
     """One energy-conserving step; returns (y1, workspace)."""
     y0, h = _validate(problem, config, 0, y0, h)
-    return _run_step(problem, None, config, y0, h, gamma0=gamma0)
+    return _run_step(problem, None, config, y0, h)
 
 
 def elim_step(
@@ -321,16 +307,12 @@ def elim_step(
     config: MethodConfig,
     y0: np.ndarray,
     h: float,
-    gamma0: Optional[np.ndarray] = None,
-    alpha0: Optional[np.ndarray] = None,
 ):
     """One step conserving the Hamiltonian and the given invariants; returns (y1, workspace)."""
     if invariants is None or invariants.nu < 1:
         raise ConfigError("elim_step needs an InvariantSet with nu >= 1")
     y0, h = _validate(problem, config, invariants.nu, y0, h)
-    return _run_step(
-        problem, invariants, config, y0, h, gamma0=gamma0, alpha0=alpha0
-    )
+    return _run_step(problem, invariants, config, y0, h)
 
 
 def integrate(

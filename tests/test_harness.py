@@ -138,7 +138,7 @@ def test_determinism_byte_identical(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_validation_fails_before_writing(tmp_path):
+def test_validation_fails_before_writing(tmp_path, capsys):
     out = tmp_path / "never.csv"
     code = main([
         "convergence", "--method", "elim", "-s", "3", "-k", "6",
@@ -146,14 +146,22 @@ def test_validation_fails_before_writing(tmp_path):
     ])
     assert code == 2
     assert not out.exists()
-    # non-finite step sizes and horizons are configuration errors too
-    for steps, horizon in (("nan", "2pi"), ("pi/30", "inf"), ("pi/30", "nan")):
+    # non-finite step sizes and horizons are configuration errors too, as are
+    # a step that does not divide the horizon (even after a valid one) and a
+    # subnormal step whose step count overflows
+    cases = (
+        ("nan", "2pi"), ("pi/30", "inf"), ("pi/30", "nan"),
+        ("pi/30,0.7", "2pi"), ("1e-320", "1"),
+    )
+    for steps, horizon in cases:
         code = main([
             "convergence", "--method", "hbvm", "-s", "2", "-k", "4",
             "--steps", steps, "--horizon", horizon, "--out", str(out),
         ])
         assert code == 2
         assert not out.exists()
+    # nothing was integrated, so no run was reported
+    assert capsys.readouterr().out == ""
 
 
 def test_nonconvergence_exit_code(tmp_path):
@@ -190,7 +198,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert main(["iterations", "--config", str(cfg), "--out", "x.csv"]) == 2
 
 
-def test_env_tolerance_default(tmp_path, monkeypatch):
+def test_env_tolerance_default(tmp_path, monkeypatch, capsys):
     args = [
         "iterations", "--method", "hbvm", "-s", "2", "-k", "4",
         "--steps", "pi/8", "--horizon", "2pi",
@@ -206,6 +214,11 @@ def test_env_tolerance_default(tmp_path, monkeypatch):
     count = lambda p: int(p.read_text().splitlines()[1].split(",")[2])
     assert count(loose) < count(tight)
     assert count(flag) == count(tight)
+
+    # an unparsable value is a configuration error that names the variable
+    monkeypatch.setenv("ELIM_FP_TOL", "abc")
+    assert main(args + ["--out", str(tmp_path / "bad.csv")]) == 2
+    assert "ELIM_FP_TOL must be a number, got 'abc'" in capsys.readouterr().err
 
 
 def test_csv_floats_carry_16_significant_digits(tmp_path):

@@ -7,6 +7,7 @@ from linteg.integrators import (
     ConfigError,
     MethodConfig,
     NonConvergence,
+    _solve_scaling,
     elim_step,
     hbvm_step,
     integrate,
@@ -160,10 +161,12 @@ def test_elim_conserves_angular_momentum():
     assert np.max(np.abs(traj.h_error)) <= 1e-11
 
 
-def test_elim_conserves_both_invariants():
+# r = k shares the Hamiltonian stages; r != k stacks the invariant nodes under them
+@pytest.mark.parametrize("r", [12, 8, 16])
+def test_elim_conserves_both_invariants(r):
     prob = kepler_problem(0.6)
     inv = kepler_invariants("angular_momentum_and_lrl")
-    config = MethodConfig(s=3, k=12, r=12)
+    config = MethodConfig(s=3, k=12, r=r)
     traj = integrate(prob, inv, config, h=0.1, n_steps=60)
     assert np.max(np.abs(traj.invariant_error[:, 0])) <= 1e-12
     assert np.max(np.abs(traj.invariant_error[:, 1])) <= 1e-11
@@ -213,7 +216,6 @@ def test_hbvm_workspace_has_identity_scaling():
     y1, ws = hbvm_step(prob, MethodConfig(s=3, k=6), prob.initial_state, 0.1)
     np.testing.assert_array_equal(ws.eta, np.ones(3))
     assert ws.alpha.size == 0
-    assert ws.phi is None
 
 
 def test_elim_with_degenerate_invariant_falls_back():
@@ -233,15 +235,17 @@ def test_elim_with_degenerate_invariant_falls_back():
     np.testing.assert_array_equal(y_elim, y_hbvm)
 
 
-def test_elim_fallback_threshold_forces_hbvm():
-    # a hostile conditioning threshold rejects every scaling solve
-    prob = kepler_problem(0.6)
-    inv = kepler_invariants("angular_momentum_only")
-    config = MethodConfig(s=3, k=12, r=12, gamma_fallback_threshold=1e-300)
-    y_elim, ws = elim_step(prob, inv, config, prob.initial_state, 0.1)
-    y_hbvm, _ = hbvm_step(prob, MethodConfig(s=3, k=12), prob.initial_state, 0.1)
-    assert ws.gamma_fallback_used
-    np.testing.assert_array_equal(y_elim, y_hbvm)
+def test_solve_scaling_rejects_ill_conditioned_system():
+    # the 1-norm condition bound is 1e8: diag(1, 1e-7) is solved, while
+    # diag(1, 1e-10) falls back although its solution would be acceptable
+    w = np.array([0.01, 0.1])
+    for tiny, expected in ((1e-7, False), (1e-10, True)):
+        Gamma = np.diag([1.0, tiny])
+        rhs = np.array([1.0, tiny])
+        alpha, fallback = _solve_scaling(Gamma, rhs, w, np.zeros(2), 0.0)
+        assert fallback is expected
+        expected_alpha = np.zeros(2) if fallback else np.ones(2)
+        np.testing.assert_allclose(alpha, expected_alpha, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(
