@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import drift_report, estimate_orders, max_norm_error, reference_solution
-from .integrators import ConfigError, MethodConfig, NonConvergence, integrate
+from .integrators import ConfigError, MethodConfig, NonConvergence, _max_steps, integrate
 from .problems import (
     HamiltonianProblem,
     InvariantSet,
@@ -130,6 +130,7 @@ class ExperimentSpec:
     def step_counts(self) -> list:
         """(h, n_steps) for each step size; the horizon must be a whole multiple of each."""
         counts = []
+        dim = self.build_problem().dim
         for h in self.step_sizes:
             ratio = self.horizon / h
             if not math.isfinite(ratio):
@@ -138,6 +139,11 @@ class ExperimentSpec:
             if n < 1 or abs(n * h - self.horizon) > 1e-9 * self.horizon:
                 raise ConfigError(
                     f"horizon {self.horizon!r} is not an integer multiple of step size {h!r}"
+                )
+            if n > _max_steps(dim):
+                raise ConfigError(
+                    f"horizon {self.horizon!r} / step size {h!r} is {ratio:.3g} steps, "
+                    f"more than the {_max_steps(dim)} whose states an array can hold"
                 )
             counts.append((h, n))
         return counts

@@ -38,6 +38,7 @@ __all__ = [
 
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # a scaling system whose 1-norm condition number exceeds this falls back to alpha = 0
 _COND_BOUND = 1e8
 
@@ -166,8 +167,20 @@ def _solve_scaling(Gamma, rhs, w, alpha_old, rhs_noise):
     discarded in favor of alpha_old: rhs is then resolved only to round-off,
     and following the noise through a tiny Gamma would keep the stage values
     dancing below the convergence threshold forever.
+
+    For nu = 1 and nu = 2 the inverse is the reciprocal or the adjugate over
+    the determinant, in Python floats, with the norms taken by hand: at these
+    sizes NumPy's per-call overhead is most of the cost.  A determinant that
+    is zero, subnormal, overflowing or not a number (every non-finite Gamma
+    gives one) goes to the LU path that nu > 2 always takes, so singular and
+    badly scaled systems are judged exactly as before.
     """
     nu = rhs.shape[0]
+    if nu <= 2:
+        g = Gamma.ravel().tolist()
+        det = g[0] if nu == 1 else g[0] * g[3] - g[1] * g[2]
+        if _TINY <= abs(det) < math.inf:
+            return _solve_small(g, det, rhs.tolist(), w.tolist(), alpha_old, rhs_noise)
     zeros = np.zeros(nu)
     if not (np.all(np.isfinite(Gamma)) and np.all(np.isfinite(rhs))):
         return zeros, True
@@ -185,6 +198,35 @@ def _solve_scaling(Gamma, rhs, w, alpha_old, rhs_noise):
     if np.max(np.abs(alpha - alpha_old)) <= alpha_floor:
         return alpha_old, False
     return alpha, False
+
+
+def _solve_small(g, det, b, w, alpha_old, rhs_noise):
+    """_solve_scaling for nu <= 2 from Gamma's row-major entries g and its determinant.
+
+    A non-finite rhs makes alpha non-finite, so the alpha check rejects it.
+    """
+    old = alpha_old.tolist()
+    if len(b) == 1:
+        inv = 1.0 / det
+        cond = abs(g[0]) * abs(inv)
+        inv_norm = abs(inv)
+        alpha = [inv * b[0]]
+        w_alpha = abs(w[0] * alpha[0])
+        moved = abs(alpha[0] - old[0])
+    else:
+        i00, i01, i10, i11 = g[3] / det, -g[1] / det, -g[2] / det, g[0] / det
+        a00, a01, a10, a11 = abs(i00), abs(i01), abs(i10), abs(i11)
+        # 1-norms (largest column sum) for cond, inf-norm (largest row sum) for the floor
+        cond = max(abs(g[0]) + abs(g[2]), abs(g[1]) + abs(g[3])) * max(a00 + a10, a01 + a11)
+        inv_norm = max(a00 + a01, a10 + a11)
+        alpha = [i00 * b[0] + i01 * b[1], i10 * b[0] + i11 * b[1]]
+        w_alpha = max(abs(w[0] * alpha[0]), abs(w[1] * alpha[1]))
+        moved = max(abs(alpha[0] - old[0]), abs(alpha[1] - old[1]))
+    if not (all(map(math.isfinite, alpha)) and cond <= _COND_BOUND and w_alpha <= 1.0):
+        return np.zeros(len(b)), True
+    if moved <= inv_norm * rhs_noise:
+        return alpha_old, False
+    return np.array(alpha), False
 
 
 def _run_step(problem, invariants, config, y0, h, gamma0=None, alpha0=None):
@@ -230,14 +272,15 @@ def _run_step(problem, invariants, config, y0, h, gamma0=None, alpha0=None):
     for _ in range(config.fp_max_iters):
         G = PTB_k @ problem.vector_field(U[:k])
         if nu:
-            Phi = np.tensordot(PTB_r, invariants.gradients(U[-r:]), axes=(1, 0))
+            grads = invariants.gradients(U[-r:]).reshape(r, d * nu)
+            Phi = (PTB_r @ grads).reshape(s, d, nu)
             prods = np.einsum("jdv,jd->jv", Phi, G)
             rhs = prods.sum(axis=0)
             Gamma = (w[:, None] * prods[s - nu :]).T
             # round-off scale of the rhs assembly (4 s d terms, inf over invariants)
             rhs_noise = (
                 4.0 * s * d * _EPS
-                * float(np.max(np.einsum("jdv,jd->v", np.abs(Phi), np.abs(G))))
+                * float((np.abs(G).ravel() @ np.abs(Phi).reshape(s * d, nu)).max())
             )
             alpha, fallback = _solve_scaling(Gamma, rhs, w, alpha, rhs_noise)
             fallback_sweeps += int(fallback)
@@ -290,6 +333,11 @@ def _validate(problem, config, nu, y0, h):
     return y0, h
 
 
+def _max_steps(dim):
+    """Largest step count whose (n_steps + 1, dim) float state array NumPy can address."""
+    return np.iinfo(np.intp).max // (dim * np.dtype(float).itemsize) - 1
+
+
 def hbvm_step(
     problem: HamiltonianProblem,
     config: MethodConfig,
@@ -327,6 +375,11 @@ def integrate(
     y, h = _validate(problem, config, nu, problem.initial_state, h)
     if n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
+    if n_steps > _max_steps(problem.dim):
+        raise ConfigError(
+            f"n_steps={n_steps} is more than the {_max_steps(problem.dim)} steps "
+            "whose states an array can hold"
+        )
 
     states = np.empty((n_steps + 1, problem.dim))
     states[0] = y

@@ -93,9 +93,16 @@ def _angular_momentum(y: np.ndarray) -> np.ndarray:
     return q1 * p2 - q2 * p1
 
 
-def _grad_angular_momentum(y: np.ndarray) -> np.ndarray:
+def _grad_angular_momentum(y: np.ndarray, out=None) -> np.ndarray:
+    # out, when given, is a (..., 4) array (or view) the gradient is written into
     q1, q2, p1, p2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-    return np.stack([p2, -p1, -q2, q1], axis=-1)
+    if out is None:
+        out = np.empty(y.shape)
+    out[..., 0] = p2
+    out[..., 1] = -p1
+    out[..., 2] = -q2
+    out[..., 3] = q1
+    return out
 
 
 def _lrl_scalar(y: np.ndarray) -> np.ndarray:
@@ -106,19 +113,27 @@ def _lrl_scalar(y: np.ndarray) -> np.ndarray:
     return p1 * _angular_momentum(y) + q2 / r
 
 
-def _grad_lrl_scalar(y: np.ndarray) -> np.ndarray:
+def _grad_lrl_scalar(y: np.ndarray, out=None) -> np.ndarray:
+    # out as for _grad_angular_momentum
     q1, q2, p1, p2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
     r3 = (q1 * q1 + q2 * q2) ** 1.5
     ell = q1 * p2 - q2 * p1
-    return np.stack(
-        [
-            p1 * p2 - q1 * q2 / r3,
-            -p1 * p1 + q1 * q1 / r3,
-            ell - p1 * q2,
-            p1 * q1,
-        ],
-        axis=-1,
-    )
+    if out is None:
+        out = np.empty(y.shape)
+    out[..., 0] = p1 * p2 - q1 * q2 / r3
+    out[..., 1] = -p1 * p1 + q1 * q1 / r3
+    out[..., 2] = ell - p1 * q2
+    out[..., 3] = p1 * q1
+    return out
+
+
+def _grad_angular_momentum_and_lrl(y: np.ndarray) -> np.ndarray:
+    # both gradients written into one (..., 4, 2) array: stacking two
+    # separately built ones costs more than computing them
+    out = np.empty(y.shape + (2,))
+    _grad_angular_momentum(y, out[..., 0])
+    _grad_lrl_scalar(y, out[..., 1])
+    return out
 
 
 def kepler_invariants(which: str) -> InvariantSet:
@@ -137,9 +152,7 @@ def kepler_invariants(which: str) -> InvariantSet:
         return InvariantSet(
             nu=2,
             values=lambda y: np.stack([_angular_momentum(y), _lrl_scalar(y)], axis=-1),
-            gradients=lambda y: np.stack(
-                [_grad_angular_momentum(y), _grad_lrl_scalar(y)], axis=-1
-            ),
+            gradients=_grad_angular_momentum_and_lrl,
         )
     raise ValueError(
         "which must be 'angular_momentum_only' or 'angular_momentum_and_lrl', "

@@ -147,11 +147,12 @@ def test_validation_fails_before_writing(tmp_path, capsys):
     assert code == 2
     assert not out.exists()
     # non-finite step sizes and horizons are configuration errors too, as are
-    # a step that does not divide the horizon (even after a valid one) and a
-    # subnormal step whose step count overflows
+    # a step that does not divide the horizon (even after a valid one), a
+    # subnormal step whose step count overflows and a step count too large
+    # for any state array
     cases = (
         ("nan", "2pi"), ("pi/30", "inf"), ("pi/30", "nan"),
-        ("pi/30,0.7", "2pi"), ("1e-320", "1"),
+        ("pi/30,0.7", "2pi"), ("1e-320", "1"), ("1e-300", "1"),
     )
     for steps, horizon in cases:
         code = main([
@@ -161,7 +162,9 @@ def test_validation_fails_before_writing(tmp_path, capsys):
         assert code == 2
         assert not out.exists()
     # nothing was integrated, so no run was reported
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "horizon 1.0 / step size 1e-300" in captured.err
 
 
 def test_nonconvergence_exit_code(tmp_path):

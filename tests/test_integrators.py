@@ -7,6 +7,7 @@ from linteg.integrators import (
     ConfigError,
     MethodConfig,
     NonConvergence,
+    _max_steps,
     _solve_scaling,
     elim_step,
     hbvm_step,
@@ -248,6 +249,138 @@ def test_solve_scaling_rejects_ill_conditioned_system():
         np.testing.assert_allclose(alpha, expected_alpha, rtol=1e-12, atol=0)
 
 
+def _reference_solve_scaling(Gamma, rhs, w, alpha_old, rhs_noise):
+    # the LU formula every nu used before the nu <= 2 closed form
+    zeros = np.zeros(rhs.shape[0])
+    if not (np.all(np.isfinite(Gamma)) and np.all(np.isfinite(rhs))):
+        return zeros, True
+    try:
+        inv = np.linalg.inv(Gamma)
+    except np.linalg.LinAlgError:
+        return zeros, True
+    cond = np.linalg.norm(Gamma, 1) * np.linalg.norm(inv, 1)
+    if not np.isfinite(cond) or cond > 1e8:
+        return zeros, True
+    alpha = inv @ rhs
+    if not np.all(np.isfinite(alpha)) or np.max(np.abs(w * alpha)) > 1.0:
+        return zeros, True
+    if np.max(np.abs(alpha - alpha_old)) <= np.linalg.norm(inv, np.inf) * rhs_noise:
+        return alpha_old, False
+    return alpha, False
+
+
+def _assert_same_decision(Gamma, rhs, w, alpha_old=None, rhs_noise=0.0):
+    Gamma, rhs, w = (np.array(a, dtype=float) for a in (Gamma, rhs, w))
+    if alpha_old is None:
+        alpha_old = np.zeros(rhs.shape[0])
+    alpha, fallback = _solve_scaling(Gamma, rhs, w, alpha_old, rhs_noise)
+    ref_alpha, ref_fallback = _reference_solve_scaling(Gamma, rhs, w, alpha_old, rhs_noise)
+    assert fallback is ref_fallback
+    assert (alpha is alpha_old) == (ref_alpha is alpha_old)
+    assert alpha.shape == rhs.shape
+    return alpha, ref_alpha
+
+
+def test_solve_scaling_matches_lu_reference():
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(3)
+    # random well-conditioned systems: alpha agrees within a few ulps x cond
+    for nu, w in ((1, [1.0]), (2, [0.01, 1.0])):
+        for _ in range(200):
+            Gamma = rng.uniform(-1.0, 1.0, (nu, nu)) + 2.0 * np.eye(nu)
+            Gamma *= 10.0 ** rng.uniform(-12.0, 0.0)
+            rhs = Gamma @ rng.uniform(-0.5, 0.5, nu)
+            alpha, ref = _assert_same_decision(Gamma, rhs, w)
+            cond = np.linalg.cond(Gamma, 1)
+            assert np.max(np.abs(alpha - ref)) <= 4.0 * eps * cond * np.max(np.abs(ref))
+    nan, inf = np.nan, np.inf
+    fallbacks = [
+        # a non-finite entry in Gamma or rhs
+        ([[nan]], [1.0], [1.0]),
+        ([[1.0, inf], [0.0, 1.0]], [1.0, 1.0], [0.01, 1.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [nan, 1.0], [0.01, 1.0]),
+        ([[2.0]], [-inf], [1.0]),
+        # an exactly singular Gamma
+        ([[0.0]], [1.0], [1.0]),
+        ([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0], [0.01, 1.0]),
+        ([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0], [0.01, 1.0]),
+        # a 1-norm condition number above the bound
+        ([[1.0, 1.0], [1.0, 1.0 + 1e-10]], [1.0, 1.0], [0.01, 1.0]),
+        # |w alpha| > 1, in either entry
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, 2.0], [0.01, 1.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [200.0, 0.0], [0.01, 1.0]),
+        ([[0.5]], [0.75], [1.0]),
+    ]
+    for Gamma, rhs, w in fallbacks:
+        alpha, _ = _assert_same_decision(Gamma, rhs, w)
+        np.testing.assert_array_equal(alpha, 0.0)
+    # entries so small that det(Gamma) is subnormal are still solved (by LU)
+    alpha, ref = _assert_same_decision(1e-160 * np.eye(2), [5e-161, -5e-161], [0.01, 1.0])
+    np.testing.assert_array_equal(alpha, ref)
+    # noise floor: a refresh within norm(inv(Gamma), inf) * rhs_noise keeps
+    # alpha_old; here that floor is 8/11 * 1e-10 and the 1-norm one 7/11 * 1e-10
+    Gamma, rhs, w = [[2.0, 1.0], [0.5, 3.0]], [1.0, 1.0], [0.01, 1.0]
+    exact = np.linalg.solve(Gamma, rhs)
+    shifts = (
+        ([7e-11, 0.0], True), ([0.0, 7e-11], True), ([1e-6, 0.0], False), ([0.0, 1e-6], False),
+    )
+    for shift, keeps in shifts:
+        old = exact + shift
+        alpha, _ = _assert_same_decision(Gamma, rhs, w, old, rhs_noise=1e-10)
+        assert (alpha is old) is keeps
+        if not keeps:
+            np.testing.assert_allclose(alpha, exact, rtol=4 * eps, atol=0)
+    kept, _ = _assert_same_decision([[4.0]], [1.0], [1.0], np.array([0.25 + 1e-13]), 1e-12)
+    assert kept[0] == 0.25 + 1e-13
+    # nu = 3 still takes the LU path: the same values bit for bit
+    Gamma = rng.uniform(-1.0, 1.0, (3, 3)) + 2.0 * np.eye(3)
+    alpha, ref = _assert_same_decision(Gamma, [0.1, -0.2, 0.3], [1e-4, 0.01, 1.0])
+    np.testing.assert_array_equal(alpha, ref)
+
+
+def _reference_elim_step(problem, invariants, config, y0, h):
+    # the sweep written with tensordot, einsum and np.linalg.inv, with
+    # separate stage arrays at the k and the r nodes; returns (y1, sweeps)
+    s, k, r, nu, d = config.s, config.k, config.resolved_r(), invariants.nu, problem.dim
+    tab_k, tab_r = build_hbvm_tableau(k, s), build_hbvm_tableau(r, s)
+    eps = np.finfo(float).eps
+    w = (h * h) ** np.arange(nu - 1, -1, -1)
+    G, alpha, eta = np.zeros((s, d)), np.zeros(nu), np.ones(s)
+    U = y0 + h * ((tab_k.I * eta) @ G)
+    U_r = y0 + h * ((tab_r.I * eta) @ G)
+    for sweep in range(1, config.fp_max_iters + 1):
+        G = tab_k.PTB @ problem.vector_field(U)
+        Phi = np.tensordot(tab_r.PTB, invariants.gradients(U_r), axes=(1, 0))
+        prods = np.einsum("jdv,jd->jv", Phi, G)
+        Gamma = (w[:, None] * prods[s - nu :]).T
+        noise = 4.0 * s * d * eps * np.max(np.einsum("jdv,jd->v", np.abs(Phi), np.abs(G)))
+        alpha, _ = _reference_solve_scaling(Gamma, prods.sum(axis=0), w, alpha, noise)
+        eta[s - nu :] = 1.0 - w * alpha
+        U_next = y0 + h * ((tab_k.I * eta) @ G)
+        U_r_next = y0 + h * ((tab_r.I * eta) @ G)
+        residual = max(np.max(np.abs(U_next - U)), np.max(np.abs(U_r_next - U_r)))
+        scale = 1.0 + max(np.max(np.abs(U_next)), np.max(np.abs(U_r_next)))
+        U, U_r = U_next, U_r_next
+        if residual <= config.fp_tolerance * scale:
+            return y0 + h * G[0], sweep
+    raise AssertionError("reference sweep did not converge")
+
+
+@pytest.mark.parametrize("nu, r", [(1, 12), (2, 12), (1, 8), (2, 8)])
+def test_elim_step_matches_reference_sweep(nu, r):
+    prob = kepler_problem(0.6)
+    which = "angular_momentum_only" if nu == 1 else "angular_momentum_and_lrl"
+    inv = kepler_invariants(which)
+    config = MethodConfig(s=3, k=12, r=r)
+    y1, ws = elim_step(prob, inv, config, prob.initial_state, 0.1)
+    y1_ref, sweeps = _reference_elim_step(prob, inv, config, prob.initial_state, 0.1)
+    assert ws.iterations == sweeps
+    assert not ws.gamma_fallback_used
+    # the nu = 2 closed form takes the adjugate where the reference takes LU,
+    # so alpha may differ in its last bits; y1 is allowed one ulp per component
+    np.testing.assert_allclose(y1, y1_ref, rtol=np.finfo(float).eps, atol=0)
+
+
 @pytest.mark.parametrize(
     "maker",
     [
@@ -386,6 +519,10 @@ def test_step_rejects_bad_inputs():
             elim_step(prob, inv, MethodConfig(s=2, k=4), prob.initial_state, h)
         with pytest.raises(ConfigError):
             integrate(prob, None, MethodConfig(s=2, k=4), h, 5)
+    # more steps than a state array can address: a ConfigError, not NumPy's ValueError
+    for n_steps in (_max_steps(prob.dim) + 1, 10**300):
+        with pytest.raises(ConfigError, match="n_steps"):
+            integrate(prob, None, MethodConfig(s=2, k=4), 0.1, n_steps)
     bad_state = prob.initial_state.copy()
     bad_state[2] = np.nan
     with pytest.raises(ConfigError):

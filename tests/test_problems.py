@@ -6,6 +6,8 @@ import pytest
 from linteg.problems import (
     HamiltonianProblem,
     InvariantSet,
+    _grad_angular_momentum,
+    _grad_lrl_scalar,
     apply_structure,
     kepler_invariants,
     kepler_problem,
@@ -89,6 +91,19 @@ def test_kepler_gradients_match_finite_differences():
         for v in range(2):
             fd = _fd_gradient(lambda z, v=v: inv.values(z)[v], y)
             np.testing.assert_allclose(grads[:, v], fd, rtol=0, atol=1e-7)
+
+
+def test_paired_gradients_equal_stacked_single_gradients():
+    # the L + LRL gradient is filled into one (..., 4, 2) array; it must be
+    # the two single gradients stacked on the last axis, bit for bit
+    inv = kepler_invariants("angular_momentum_and_lrl")
+    rng = np.random.default_rng(7)
+    for shape in ((5, 12), (3,), ()):
+        y = _random_states(rng, int(np.prod(shape))).reshape(shape + (4,))
+        expected = np.stack([_grad_angular_momentum(y), _grad_lrl_scalar(y)], -1)
+        got = inv.gradients(y)
+        assert got.shape == shape + (4, 2)
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_invariants_commute_with_flow():
