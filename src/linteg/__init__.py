@@ -18,7 +18,6 @@ from .integrators import (
     elim_step,
     hbvm_step,
     integrate,
-    stage_polynomial,
 )
 from .polybasis import (
     QuadratureRule,
@@ -76,7 +75,6 @@ __all__ = [
     "max_norm_error",
     "polynomial_oscillator",
     "reference_solution",
-    "stage_polynomial",
     "tableau_to_json",
     "xhat_matrix",
     "xi_coefficient",

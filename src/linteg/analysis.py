@@ -21,38 +21,17 @@ __all__ = [
     "cost_ratio",
 ]
 
-# a run counts as drift-free when the least-squares slope of |error| against
-# time stays below this rate
-DRIFT_SLOPE_THRESHOLD = 1e-12
-
 
 @dataclass(frozen=True)
 class DriftReport:
     """Deviation series of H and monitored invariants along one trajectory."""
 
-    times: np.ndarray
     h_error: np.ndarray
     invariant_error: np.ndarray
     h_slope: float
     invariant_slopes: np.ndarray
     h_max: float
     invariant_max: np.ndarray
-    h_bounded: bool
-    invariant_bounded: np.ndarray
-    alpha_max: float
-    iteration_total: int
-
-    def to_json(self) -> dict:
-        return {
-            "h_slope": self.h_slope,
-            "invariant_slopes": self.invariant_slopes.tolist(),
-            "h_max": self.h_max,
-            "invariant_max": self.invariant_max.tolist(),
-            "h_bounded": self.h_bounded,
-            "invariant_bounded": self.invariant_bounded.tolist(),
-            "alpha_max": self.alpha_max,
-            "iteration_total": self.iteration_total,
-        }
 
 
 def estimate_orders(errors) -> np.ndarray:
@@ -104,7 +83,6 @@ def drift_report(
     trajectory: Trajectory,
     problem: HamiltonianProblem,
     monitored: Optional[InvariantSet] = None,
-    slope_threshold: float = DRIFT_SLOPE_THRESHOLD,
 ) -> DriftReport:
     """Drift statistics of a trajectory.
 
@@ -124,9 +102,7 @@ def drift_report(
     inv_slopes = np.array(
         [drift_slope(trajectory.times, invariant_error[:, i]) for i in range(invariant_error.shape[1])]
     )
-    alpha_max = float(np.max(np.abs(trajectory.alpha))) if trajectory.alpha.size else 0.0
     return DriftReport(
-        times=trajectory.times,
         h_error=h_error,
         invariant_error=invariant_error,
         h_slope=h_slope,
@@ -135,10 +111,6 @@ def drift_report(
         invariant_max=np.max(np.abs(invariant_error), axis=0)
         if invariant_error.size
         else np.zeros(0),
-        h_bounded=abs(h_slope) <= slope_threshold,
-        invariant_bounded=np.abs(inv_slopes) <= slope_threshold,
-        alpha_max=alpha_max,
-        iteration_total=trajectory.iteration_total,
     )
 
 

@@ -54,7 +54,10 @@ def parse_step_size(token: str) -> float:
         if match.group("num"):
             value *= float(match.group("num"))
         if match.group("den"):
-            value /= float(match.group("den"))
+            den = float(match.group("den"))
+            if den == 0.0:
+                raise ConfigError(f"step size or horizon {token!r} divides by zero")
+            value /= den
         return value
     try:
         return float(token)
@@ -122,8 +125,6 @@ class ExperimentSpec:
             if self.experiment == "alpha-norm" and self.method != "elim":
                 raise ConfigError("alpha-norm tracks the elim scaling; use --method elim")
             self.step_counts()
-        if not self.tol > 0.0:
-            raise ConfigError(f"tolerance must be positive, got {self.tol}")
         # fail on impossible method parameters before any stepping
         self.method_config().validate(nu=self.nu())
 
@@ -265,7 +266,7 @@ def _run_drift(spec: ExperimentSpec, out: Path) -> None:
     _write_csv(out, header, rows)
     print(
         f"h={_fmt(h)}  n={n}  max|H err|={_fmt(report.h_max)}  "
-        f"H slope={_fmt(report.h_slope)}  iterations={report.iteration_total}"
+        f"H slope={_fmt(report.h_slope)}  iterations={traj.iteration_total}"
     )
     for v, lab in enumerate(labels):
         print(
@@ -320,6 +321,22 @@ _BENCHMARK_METHODS = {
 _BENCHMARK_DENOMS = (30, 60, 120, 240, 480)
 
 
+def _write_order_table(path, steps, labels, values, value_name, order_name):
+    """Write h, then per label its value at h and the order log2(prev / cur)
+    against the previous step, one row per step."""
+    header = ["h"]
+    for label in labels:
+        header += [f"{value_name}_{label}", f"{order_name}_{label}"]
+    rows = []
+    for i, h in enumerate(steps):
+        row = [_fmt(h)]
+        for label in labels:
+            cur = values[label, h]
+            row += [_fmt(cur), _fmt(math.log2(values[label, steps[i - 1]] / cur)) if i else ""]
+        rows.append(row)
+    _write_csv(path, header, rows)
+
+
 def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
     """Convergence, iteration, scaling-norm and drift benchmarks at the
     published parameters: the eccentricity 0.6 orbit over ten periods for
@@ -366,18 +383,7 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
             )
 
     labels = list(specs)
-    conv_rows = []
-    for i, h in enumerate(steps):
-        row = [_fmt(h)]
-        for label in labels:
-            row.append(_fmt(errors[label, h]))
-            prev = errors[label, steps[i - 1]] if i else None
-            row.append("" if not i else _fmt(math.log2(prev / errors[label, h])))
-        conv_rows.append(row)
-    header = ["h"]
-    for label in labels:
-        header += [f"error_{label}", f"order_{label}"]
-    _write_csv(out_dir / "convergence.csv", header, conv_rows)
+    _write_order_table(out_dir / "convergence.csv", steps, labels, errors, "error", "order")
 
     iter_rows = [
         [_fmt(h)] + [str(iters[label, h]) for label in labels] for h in steps
@@ -385,18 +391,9 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
     _write_csv(out_dir / "iterations.csv", ["h"] + labels, iter_rows)
 
     elim_labels = [label for label, spec in specs.items() if spec.nu()]
-    alpha_rows = []
-    for i, h in enumerate(steps):
-        row = [_fmt(h)]
-        for label in elim_labels:
-            row.append(_fmt(alpha_max[label, h]))
-            prev = alpha_max[label, steps[i - 1]] if i else None
-            row.append("" if not i else _fmt(math.log2(prev / alpha_max[label, h])))
-        alpha_rows.append(row)
-    header = ["h"]
-    for label in elim_labels:
-        header += [f"alpha_max_{label}", f"alpha_order_{label}"]
-    _write_csv(out_dir / "alpha_norms.csv", header, alpha_rows)
+    _write_order_table(
+        out_dir / "alpha_norms.csv", steps, elim_labels, alpha_max, "alpha_max", "alpha_order"
+    )
 
     # per-step scaling components for the two-invariant method at h = pi/30
     traj = alpha_series["ehbvm_12_3_L1L2", steps[0]]
@@ -474,17 +471,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_JSON_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": _is_number,
+    "null": lambda v: v is None,
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+}
+# the JSON values each --config key takes (command-line flags are typed by argparse)
+_CONFIG_KEYS = {
+    "problem": ("a string",), "method": ("a string",), "invariants": ("a string",),
+    "out": ("a string",), "s": ("an integer",), "k": ("an integer", "null"),
+    "r": ("an integer", "null"), "eccentricity": ("a number",), "tol": ("a number",),
+    "steps": ("a string", "a list of numbers"), "horizon": ("a string", "a number"),
+}
+
+
+def _load_config(path: str) -> dict:
+    with open(path) as fh:
+        values = json.load(fh)
+    if not isinstance(values, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    unknown = set(values) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in values.items():
+        kinds = _CONFIG_KEYS[key]
+        if not any(_JSON_KINDS[kind](value) for kind in kinds):
+            raise ConfigError(f"config key {key!r} must be {' or '.join(kinds)}, got {value!r}")
+    return values
+
+
 def _spec_from_args(args: argparse.Namespace, env_tol: Optional[float]) -> ExperimentSpec:
-    file_values = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_values = json.load(fh)
-        unknown = set(file_values) - {
-            "problem", "eccentricity", "method", "s", "k", "r",
-            "invariants", "steps", "horizon", "tol", "out",
-        }
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    file_values = _load_config(args.config) if getattr(args, "config", None) else {}
 
     def pick(name, default):
         flag = getattr(args, name.replace("-", "_"), None)
@@ -494,13 +517,9 @@ def _spec_from_args(args: argparse.Namespace, env_tol: Optional[float]) -> Exper
             return file_values[name]
         return default
 
-    steps = pick("steps", None)
+    steps = pick("steps", [])
     if isinstance(steps, str):
-        step_sizes = tuple(parse_step_size(tok) for tok in steps.split(","))
-    elif steps is None:
-        step_sizes = ()
-    else:
-        step_sizes = tuple(float(v) for v in steps)
+        steps = [parse_step_size(tok) for tok in steps.split(",")]
 
     horizon = pick("horizon", 0.0)
     if isinstance(horizon, str):
@@ -513,11 +532,11 @@ def _spec_from_args(args: argparse.Namespace, env_tol: Optional[float]) -> Exper
         problem=pick("problem", "kepler"),
         eccentricity=float(pick("eccentricity", 0.6)),
         method=pick("method", "hbvm"),
-        s=int(pick("s", 3)),
-        k=(lambda v: None if v is None else int(v))(pick("k", None)),
-        r=(lambda v: None if v is None else int(v))(pick("r", None)),
+        s=pick("s", 3),
+        k=pick("k", None),
+        r=pick("r", None),
         invariants=pick("invariants", "none"),
-        step_sizes=step_sizes,
+        step_sizes=tuple(float(h) for h in steps),
         horizon=float(horizon),
         tol=float(tol),
         out=pick("out", None),

@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from .polybasis import integral_table
 from .problems import HamiltonianProblem, InvariantSet
 from .tableau import build_hbvm_tableau
 
@@ -30,7 +29,6 @@ __all__ = [
     "MethodConfig",
     "StepWorkspace",
     "Trajectory",
-    "stage_polynomial",
     "hbvm_step",
     "elim_step",
     "integrate",
@@ -41,6 +39,8 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 # a scaling system whose 1-norm condition number exceeds this falls back to alpha = 0
 _COND_BOUND = 1e8
+# a step that has not met the tolerance after this many sweeps raises NonConvergence
+_MAX_SWEEPS = 200
 
 
 class ConfigError(ValueError):
@@ -48,7 +48,7 @@ class ConfigError(ValueError):
 
 
 class NonConvergence(RuntimeError):
-    """Fixed-point iteration exceeded fp_max_iters without meeting the tolerance."""
+    """Fixed-point iteration ran _MAX_SWEEPS sweeps without meeting the tolerance."""
 
     def __init__(self, message, residual=np.nan, iterations=0, step_index=None):
         super().__init__(message)
@@ -63,16 +63,14 @@ class MethodConfig:
 
     s is the polynomial degree count (order 2s), k the number of Gauss nodes
     for the Hamiltonian quadrature, r the number for the invariant quadrature
-    (ignored without invariants; defaults to k).  warm_start seeds each step's
-    iteration with the previous step's coefficients.
+    (ignored without invariants; defaults to k).  Every step starts its
+    iteration from gamma = 0, alpha = 0.
     """
 
     s: int
     k: int
     r: Optional[int] = None
     fp_tolerance: float = 1e-14
-    fp_max_iters: int = 200
-    warm_start: bool = False
 
     def resolved_r(self) -> int:
         return self.k if self.r is None else self.r
@@ -91,10 +89,8 @@ class MethodConfig:
                 raise ConfigError(
                     f"conserving nu={nu} invariants needs s > nu, got s={self.s}"
                 )
-        if not self.fp_tolerance > 0.0:
-            raise ConfigError(f"fp_tolerance must be positive, got {self.fp_tolerance}")
-        if self.fp_max_iters < 1:
-            raise ConfigError(f"fp_max_iters must be >= 1, got {self.fp_max_iters}")
+        if not 0.0 < self.fp_tolerance < math.inf:
+            raise ConfigError(f"fp_tolerance must be positive and finite, got {self.fp_tolerance}")
 
 
 @dataclass
@@ -132,27 +128,6 @@ class Trajectory:
     @property
     def iteration_total(self) -> int:
         return int(self.iterations.sum())
-
-
-def stage_polynomial(
-    y0: np.ndarray, h: float, gamma: np.ndarray, eta: np.ndarray, c
-) -> np.ndarray:
-    """Evaluate the stage polynomial at normalized abscissa(e) c in [0, 1]."""
-    y0 = np.asarray(y0, dtype=float)
-    gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
-    eta = np.asarray(eta, dtype=float)
-    s = gamma.shape[0]
-    if eta.shape != (s,):
-        raise ValueError(f"eta must have shape ({s},), got {eta.shape}")
-    c_arr = np.asarray(c, dtype=float)
-    weights = integral_table(s - 1, c_arr) * eta.reshape((s,) + (1,) * c_arr.ndim)
-    out = y0 + h * np.tensordot(weights, gamma, axes=(0, 0))
-    if c_arr.ndim == 0:
-        if c_arr == 0.0:
-            return y0.copy()
-        return out
-    out[c_arr == 0.0] = y0
-    return out
 
 
 def _solve_scaling(Gamma, rhs, w, alpha_old, rhs_noise):
@@ -229,7 +204,7 @@ def _solve_small(g, det, b, w, alpha_old, rhs_noise):
     return np.array(alpha), False
 
 
-def _run_step(problem, invariants, config, y0, h, gamma0=None, alpha0=None):
+def _run_step(problem, invariants, config, y0, h):
     s, k = config.s, config.k
     nu = invariants.nu if invariants is not None else 0
     d = problem.dim
@@ -250,11 +225,9 @@ def _run_step(problem, invariants, config, y0, h, gamma0=None, alpha0=None):
         # even powers h^(2(s-1-j)) for the corrected tail j = s-nu .. s-1
         w = (float(h) * float(h)) ** np.arange(nu - 1, -1, -1)
 
-    G = np.zeros((s, d)) if gamma0 is None else np.array(gamma0, dtype=float)
-    alpha = np.zeros(nu) if alpha0 is None else np.array(alpha0, dtype=float)
+    G = np.zeros((s, d))
+    alpha = np.zeros(nu)
     eta = np.ones(s)
-    if nu:
-        eta[s - nu :] = 1.0 - w * alpha
     Gamma = np.zeros((nu, nu))
     rhs = np.zeros(nu)
     fallback = False
@@ -269,7 +242,7 @@ def _run_step(problem, invariants, config, y0, h, gamma0=None, alpha0=None):
     # actually enters the update y1 = y0 + h gamma_0.
     U = y0 + h * ((I * eta) @ G)
 
-    for _ in range(config.fp_max_iters):
+    for _ in range(_MAX_SWEEPS):
         G = PTB_k @ problem.vector_field(U[:k])
         if nu:
             grads = invariants.gradients(U[-r:]).reshape(r, d * nu)
@@ -295,7 +268,7 @@ def _run_step(problem, invariants, config, y0, h, gamma0=None, alpha0=None):
             break
     else:
         raise NonConvergence(
-            f"no fixed point after {config.fp_max_iters} sweeps "
+            f"no fixed point after {_MAX_SWEEPS} sweeps "
             f"(residual {residual:.3e}, h={h!r})",
             residual=residual,
             iterations=iterations,
@@ -386,14 +359,10 @@ def integrate(
     iterations = np.zeros(n_steps, dtype=int)
     alphas = np.zeros((n_steps, nu))
     fallbacks = np.zeros(n_steps, dtype=bool)
-    gamma0 = None
-    alpha0 = None
 
     for i in range(n_steps):
         try:
-            y, ws = _run_step(
-                problem, invariants, config, y, h, gamma0=gamma0, alpha0=alpha0
-            )
+            y, ws = _run_step(problem, invariants, config, y, h)
         except NonConvergence as exc:
             raise NonConvergence(
                 f"step {i + 1} of {n_steps}: {exc}",
@@ -406,8 +375,6 @@ def integrate(
         if nu:
             alphas[i] = ws.alpha
         fallbacks[i] = ws.gamma_fallback_used
-        if config.warm_start:
-            gamma0, alpha0 = ws.gamma, ws.alpha
 
     times = h * np.arange(n_steps + 1)
     h_vals = problem.hamiltonian(states)

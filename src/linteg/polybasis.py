@@ -13,8 +13,8 @@ underlies the tridiagonal step matrix in :mod:`linteg.tableau`.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,20 +77,12 @@ def _compute_gauss_rule(n: int) -> QuadratureRule:
     return QuadratureRule(n=n, nodes=nodes, weights=weights)
 
 
-_rule_cache: dict[int, QuadratureRule] = {}
-_rule_lock = threading.Lock()
-
-
+@functools.lru_cache(maxsize=None)
 def gauss_rule(n: int) -> QuadratureRule:
     """Return the cached n-point Gauss-Legendre rule on [0, 1] (exact to degree 2n-1)."""
     if n < 1:
         raise ValueError(f"quadrature rule needs n >= 1, got {n}")
-    with _rule_lock:
-        rule = _rule_cache.get(n)
-        if rule is None:
-            rule = _compute_gauss_rule(n)
-            _rule_cache[n] = rule
-    return rule
+    return _compute_gauss_rule(n)
 
 
 def legendre_table(n_max: int, x) -> np.ndarray:

@@ -21,6 +21,8 @@ def test_parse_step_size():
     assert parse_step_size("1e-3") == 1e-3
     with pytest.raises(ConfigError):
         parse_step_size("two pi")
+    with pytest.raises(ConfigError, match="'pi/0'"):
+        parse_step_size("pi/0")
 
 
 def test_spec_validation_rejects_bad_combinations():
@@ -147,16 +149,17 @@ def test_validation_fails_before_writing(tmp_path, capsys):
     assert code == 2
     assert not out.exists()
     # non-finite step sizes and horizons are configuration errors too, as are
-    # a step that does not divide the horizon (even after a valid one), a
-    # subnormal step whose step count overflows and a step count too large
-    # for any state array
+    # a division by zero, a step that does not divide the horizon (even after
+    # a valid one), a subnormal step whose step count overflows, a step count
+    # too large for any state array and a non-finite tolerance
     cases = (
-        ("nan", "2pi"), ("pi/30", "inf"), ("pi/30", "nan"),
-        ("pi/30,0.7", "2pi"), ("1e-320", "1"), ("1e-300", "1"),
+        ("nan", "2pi", "1e-14"), ("pi/30", "inf", "1e-14"), ("pi/30", "nan", "1e-14"),
+        ("pi/0", "2pi", "1e-14"), ("pi/30", "pi/0", "1e-14"), ("pi/30,0.7", "2pi", "1e-14"),
+        ("1e-320", "1", "1e-14"), ("1e-300", "1", "1e-14"), ("pi/30,pi/60", "2pi", "inf"),
     )
-    for steps, horizon in cases:
+    for steps, horizon, tol in cases:
         code = main([
-            "convergence", "--method", "hbvm", "-s", "2", "-k", "4",
+            "convergence", "--method", "hbvm", "-s", "2", "-k", "4", "--tol", tol,
             "--steps", steps, "--horizon", horizon, "--out", str(out),
         ])
         assert code == 2
@@ -195,10 +198,27 @@ def test_config_file_with_flag_override(tmp_path):
     assert loose_total < base_total
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"stepsize": 0.1}))
     assert main(["iterations", "--config", str(cfg), "--out", "x.csv"]) == 2
+    # values of the wrong JSON type and files that are not an object are
+    # configuration errors that name the key, and nothing is written
+    valid = {"method": "hbvm", "s": 2, "k": 4, "steps": "pi/8", "horizon": "2pi"}
+    out = tmp_path / "never.csv"
+    cases = (
+        ({**valid, "steps": 0.1}, "'steps'"),
+        ({**valid, "eccentricity": None}, "'eccentricity'"),
+        ({**valid, "s": "abc"}, "'s'"),
+        ({**valid, "s": 3.7}, "'s'"),
+        ([1, 2], "JSON object"),
+    )
+    capsys.readouterr()
+    for payload, message in cases:
+        cfg.write_text(json.dumps(payload))
+        assert main(["iterations", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
 
 
 def test_env_tolerance_default(tmp_path, monkeypatch, capsys):

@@ -7,12 +7,12 @@ from linteg.integrators import (
     ConfigError,
     MethodConfig,
     NonConvergence,
+    _MAX_SWEEPS,
     _max_steps,
     _solve_scaling,
     elim_step,
     hbvm_step,
     integrate,
-    stage_polynomial,
 )
 from linteg.problems import (
     HamiltonianProblem,
@@ -80,35 +80,6 @@ def _random_quadratic_problem(rng, m=2):
         grad_h=lambda y: y @ S.T,
         initial_state=y0,
     )
-
-
-def test_stage_polynomial_frozen_example():
-    # s = 2 with one scaled mode, checked against an exact evaluation
-    u = stage_polynomial(
-        np.array([1.0, 2.0]),
-        0.1,
-        np.array([[0.5, -0.25], [0.125, 1.5]]),
-        np.array([1.0, 0.8]),
-        np.array([0.3]),
-    )
-    np.testing.assert_allclose(
-        u[0], [1.0113626933041053, 1.9488523196492642], rtol=0, atol=1e-15
-    )
-
-
-def test_stage_polynomial_at_zero_is_initial_state():
-    y0 = np.array([3.0, -1.0])
-    gamma = np.array([[0.2, 0.4], [0.6, -0.8], [1.0, 1.2]])
-    u = stage_polynomial(y0, 0.7, gamma, np.ones(3), np.array([0.0, 1.0]))
-    np.testing.assert_array_equal(u[0], y0)
-
-
-def test_stage_polynomial_endpoint_is_update():
-    # u(h) = y0 + h gamma_0 because every higher mode integrates to zero
-    y0 = np.array([3.0, -1.0])
-    gamma = np.array([[0.2, 0.4], [0.6, -0.8], [1.0, 1.2]])
-    u = stage_polynomial(y0, 0.7, gamma, np.ones(3), np.array([1.0]))
-    np.testing.assert_allclose(u[0], y0 + 0.7 * gamma[0], rtol=0, atol=1e-15)
 
 
 @STEP_CASES
@@ -348,7 +319,7 @@ def _reference_elim_step(problem, invariants, config, y0, h):
     G, alpha, eta = np.zeros((s, d)), np.zeros(nu), np.ones(s)
     U = y0 + h * ((tab_k.I * eta) @ G)
     U_r = y0 + h * ((tab_r.I * eta) @ G)
-    for sweep in range(1, config.fp_max_iters + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         G = tab_k.PTB @ problem.vector_field(U)
         Phi = np.tensordot(tab_r.PTB, invariants.gradients(U_r), axes=(1, 0))
         prods = np.einsum("jdv,jd->jv", Phi, G)
@@ -443,45 +414,15 @@ def test_determinism_bitwise():
     np.testing.assert_array_equal(a.iterations, b.iterations)
 
 
-def test_warm_start_constant_field_single_sweep():
-    # constant vector field: coefficients are exact after one sweep, so a
-    # warmed step needs exactly one verification sweep
-    prob = HamiltonianProblem(
-        name="drift",
-        m=1,
-        hamiltonian=lambda y: y[..., 1],
-        grad_h=lambda y: np.broadcast_to([0.0, 1.0], y.shape).copy(),
-        initial_state=np.array([0.0, 0.0]),
-    )
-    cold = integrate(prob, None, MethodConfig(s=2, k=2), h=0.1, n_steps=4)
-    warm = integrate(
-        prob, None, MethodConfig(s=2, k=2, warm_start=True), h=0.1, n_steps=4
-    )
-    np.testing.assert_allclose(warm.states, cold.states, rtol=0, atol=1e-15)
-    assert np.all(cold.iterations == 2)
-    np.testing.assert_array_equal(warm.iterations, [2, 1, 1, 1])
-
-
-def test_warm_start_reduces_iterations_on_kepler():
-    prob = kepler_problem(0.6)
-    config = dict(s=3, k=12)
-    cold = integrate(prob, None, MethodConfig(**config), h=0.05, n_steps=30)
-    warm = integrate(
-        prob, None, MethodConfig(**config, warm_start=True), h=0.05, n_steps=30
-    )
-    assert warm.iteration_total < cold.iteration_total
-    # both land on the same orbit
-    np.testing.assert_allclose(warm.states[-1], cold.states[-1], rtol=0, atol=1e-9)
-
-
 def test_non_convergence_raises_with_context():
+    # at h = 0.5 the residual of step 26 stalls just above a 1e-15 tolerance
     prob = kepler_problem(0.6)
-    config = MethodConfig(s=3, k=6, fp_max_iters=3)
+    config = MethodConfig(s=2, k=4, fp_tolerance=1e-15)
     with pytest.raises(NonConvergence) as err:
-        integrate(prob, None, config, h=0.4, n_steps=50)
-    assert err.value.iterations == 3
+        integrate(prob, None, config, h=0.5, n_steps=100)
+    assert err.value.iterations == _MAX_SWEEPS
     assert err.value.residual > 0.0
-    assert err.value.step_index >= 0
+    assert err.value.step_index >= 1
     assert "step" in str(err.value)
 
 
@@ -495,10 +436,9 @@ def test_config_validation():
         MethodConfig(s=2, k=6, r=6).validate(nu=2)  # needs s > nu
     with pytest.raises(ConfigError):
         MethodConfig(s=3, k=6, r=2).validate(nu=1)  # r >= s
-    with pytest.raises(ConfigError):
-        MethodConfig(s=2, k=4, fp_tolerance=0.0).validate(nu=0)
-    with pytest.raises(ConfigError):
-        MethodConfig(s=2, k=4, fp_max_iters=0).validate(nu=0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ConfigError):
+            MethodConfig(s=2, k=4, fp_tolerance=tol).validate(nu=0)
     MethodConfig(s=3, k=6, r=8).validate(nu=2)
 
 
@@ -511,7 +451,7 @@ def test_step_rejects_bad_inputs():
         hbvm_step(prob, MethodConfig(s=2, k=4), np.zeros(3), 0.1)
     with pytest.raises(ConfigError):
         elim_step(prob, None, MethodConfig(s=2, k=4), prob.initial_state, 0.1)
-    # non-finite inputs are rejected up front instead of burning fp_max_iters sweeps
+    # non-finite inputs are rejected up front instead of burning _MAX_SWEEPS sweeps
     for h in (np.nan, np.inf):
         with pytest.raises(ConfigError):
             hbvm_step(prob, MethodConfig(s=2, k=4), prob.initial_state, h)

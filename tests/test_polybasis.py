@@ -1,5 +1,6 @@
 """Quadrature rules and the orthonormal shifted Legendre basis."""
 
+import sys
 import threading
 
 import numpy as np
@@ -82,17 +83,27 @@ def test_gauss_rule_cached_and_immutable():
 
 
 def test_gauss_rule_thread_safety():
+    # concurrent misses may build twice, but every caller sees the same values
+    gauss_rule.cache_clear()
     results = []
-
-    def worker():
-        results.append(gauss_rule(9))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r is results[0] for r in results)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda: results.append(gauss_rule(9))) for _ in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert len(results) == 8
+    for other in results:
+        np.testing.assert_array_equal(other.nodes, results[0].nodes)
+        np.testing.assert_array_equal(other.weights, results[0].weights)
+    assert gauss_rule(9) is gauss_rule(9)
 
 
 def test_gauss_rule_validation():
