@@ -20,7 +20,6 @@ from .integrators import (
     integrate,
 )
 from .polybasis import (
-    QuadratureRule,
     gauss_rule,
     integral_table,
     legendre_table,
@@ -35,9 +34,7 @@ from .problems import (
     polynomial_oscillator,
 )
 from .tableau import (
-    SigmaScaling,
     TableauMatrices,
-    build_elim_tableau,
     build_hbvm_tableau,
     tableau_to_json,
     xhat_matrix,
@@ -52,13 +49,10 @@ __all__ = [
     "InvariantSet",
     "MethodConfig",
     "NonConvergence",
-    "QuadratureRule",
-    "SigmaScaling",
     "StepWorkspace",
     "TableauMatrices",
     "Trajectory",
     "apply_structure",
-    "build_elim_tableau",
     "build_hbvm_tableau",
     "cost_ratio",
     "drift_report",

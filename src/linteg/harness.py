@@ -492,8 +492,12 @@ _CONFIG_KEYS = {
 
 
 def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        values = json.load(fh)
+    # JSON text is UTF-8 (RFC 8259), whatever the locale
+    with open(path, encoding="utf-8") as fh:
+        try:
+            values = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = set(values) - set(_CONFIG_KEYS)

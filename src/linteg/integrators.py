@@ -130,8 +130,12 @@ class Trajectory:
         return int(self.iterations.sum())
 
 
-def _solve_scaling(Gamma, rhs, w, alpha_old, rhs_noise):
-    """Solve Gamma alpha = rhs; fall back to alpha = 0 on a degenerate system.
+def _solve_scaling(g, b, w, alpha_old, rhs_noise):
+    """Solve Gamma alpha = b; fall back to alpha = 0 on a degenerate system.
+
+    Every argument is in Python floats: g holds Gamma's nu x nu entries row
+    by row, and b, w and alpha_old are lists of nu.  Returns (alpha,
+    fallback) with alpha a list.
 
     Besides singularity and the conditioning bound, a solution with
     |h^(2(s-1-j)) alpha_j| > 1 is rejected: it would push an eta entry
@@ -139,24 +143,26 @@ def _solve_scaling(Gamma, rhs, w, alpha_old, rhs_noise):
     of a cold-started iteration.
 
     A refresh that moves alpha by less than norm(inv(Gamma)) * rhs_noise is
-    discarded in favor of alpha_old: rhs is then resolved only to round-off,
-    and following the noise through a tiny Gamma would keep the stage values
-    dancing below the convergence threshold forever.
+    discarded in favor of alpha_old, which is returned itself: rhs is then
+    resolved only to round-off, and following the noise through a tiny Gamma
+    would keep the stage values dancing below the convergence threshold
+    forever.
 
     For nu = 1 and nu = 2 the inverse is the reciprocal or the adjugate over
-    the determinant, in Python floats, with the norms taken by hand: at these
-    sizes NumPy's per-call overhead is most of the cost.  A determinant that
-    is zero, subnormal, overflowing or not a number (every non-finite Gamma
-    gives one) goes to the LU path that nu > 2 always takes, so singular and
+    the determinant, with the norms taken by hand: at these sizes NumPy's
+    per-call overhead is most of the cost.  A determinant that is zero,
+    subnormal, overflowing or not a number (every non-finite Gamma gives
+    one) goes to the LU path that nu > 2 always takes, so singular and
     badly scaled systems are judged exactly as before.
     """
-    nu = rhs.shape[0]
+    nu = len(b)
     if nu <= 2:
-        g = Gamma.ravel().tolist()
         det = g[0] if nu == 1 else g[0] * g[3] - g[1] * g[2]
         if _TINY <= abs(det) < math.inf:
-            return _solve_small(g, det, rhs.tolist(), w.tolist(), alpha_old, rhs_noise)
-    zeros = np.zeros(nu)
+            return _solve_small(g, det, b, w, alpha_old, rhs_noise)
+    zeros = [0.0] * nu
+    Gamma = np.array(g).reshape(nu, nu)
+    rhs = np.array(b)
     if not (np.all(np.isfinite(Gamma)) and np.all(np.isfinite(rhs))):
         return zeros, True
     try:
@@ -167,20 +173,19 @@ def _solve_scaling(Gamma, rhs, w, alpha_old, rhs_noise):
     if not np.isfinite(cond) or cond > _COND_BOUND:
         return zeros, True
     alpha = inv @ rhs
-    if not np.all(np.isfinite(alpha)) or np.max(np.abs(w * alpha)) > 1.0:
+    if not np.all(np.isfinite(alpha)) or np.max(np.abs(np.array(w) * alpha)) > 1.0:
         return zeros, True
     alpha_floor = np.linalg.norm(inv, np.inf) * rhs_noise
-    if np.max(np.abs(alpha - alpha_old)) <= alpha_floor:
+    if np.max(np.abs(alpha - np.array(alpha_old))) <= alpha_floor:
         return alpha_old, False
-    return alpha, False
+    return alpha.tolist(), False
 
 
-def _solve_small(g, det, b, w, alpha_old, rhs_noise):
-    """_solve_scaling for nu <= 2 from Gamma's row-major entries g and its determinant.
+def _solve_small(g, det, b, w, old, rhs_noise):
+    """_solve_scaling for nu <= 2, given Gamma's determinant.
 
     A non-finite rhs makes alpha non-finite, so the alpha check rejects it.
     """
-    old = alpha_old.tolist()
     if len(b) == 1:
         inv = 1.0 / det
         cond = abs(g[0]) * abs(inv)
@@ -198,10 +203,10 @@ def _solve_small(g, det, b, w, alpha_old, rhs_noise):
         w_alpha = max(abs(w[0] * alpha[0]), abs(w[1] * alpha[1]))
         moved = max(abs(alpha[0] - old[0]), abs(alpha[1] - old[1]))
     if not (all(map(math.isfinite, alpha)) and cond <= _COND_BOUND and w_alpha <= 1.0):
-        return np.zeros(len(b)), True
+        return [0.0] * len(b), True
     if moved <= inv_norm * rhs_noise:
-        return alpha_old, False
-    return np.array(alpha), False
+        return old, False
+    return alpha, False
 
 
 def _run_step(problem, invariants, config, y0, h):
@@ -209,27 +214,36 @@ def _run_step(problem, invariants, config, y0, h):
     nu = invariants.nu if invariants is not None else 0
     d = problem.dim
     tol = config.fp_tolerance
+    vector_field = problem.vector_field
 
     # One stage array U: rows [:k] are the Hamiltonian nodes, rows [-r:] the
     # invariant nodes.  With r = k the cached tableau is the same record and
-    # both views cover the same rows; otherwise the r-node rows are stacked
-    # under the k-node ones.
+    # both cover all of U; otherwise the r-node rows are stacked under the
+    # k-node ones.
     tab_k = build_hbvm_tableau(k, s)
     I, PTB_k = tab_k.I, tab_k.PTB
+    stacked = False
     if nu:
         r = config.resolved_r()
         tab_r = build_hbvm_tableau(r, s)
         PTB_r = tab_r.PTB
-        if tab_r is not tab_k:
+        stacked = tab_r is not tab_k
+        if stacked:
             I = np.vstack((I, tab_r.I))
+        gradients = invariants.gradients
         # even powers h^(2(s-1-j)) for the corrected tail j = s-nu .. s-1
-        w = (float(h) * float(h)) ** np.arange(nu - 1, -1, -1)
+        w = ((float(h) * float(h)) ** np.arange(nu - 1, -1, -1)).tolist()
+        # round-off scale of the rhs assembly: 4 s d terms per invariant
+        noise_scale = 4.0 * s * d * _EPS
 
+    # The scaling system (Gamma, rhs, alpha) is kept in Python floats: at
+    # nu <= 2 a handful of float operations cost less than NumPy calls.
     G = np.zeros((s, d))
-    alpha = np.zeros(nu)
+    alpha = [0.0] * nu
     eta = np.ones(s)
-    Gamma = np.zeros((nu, nu))
-    rhs = np.zeros(nu)
+    Ieta = I * eta  # refreshed each sweep only when eta moves, i.e. nu > 0
+    Gamma = [0.0] * (nu * nu)
+    rhs = [0.0] * nu
     fallback = False
     fallback_sweeps = 0
     iterations = 0
@@ -239,33 +253,54 @@ def _run_step(problem, invariants, config, y0, h):
     # alpha directly: the eta rescaling amplifies round-off in alpha by
     # norm(inv(Gamma)), so a raw alpha difference never settles to the
     # tolerance, while the stage values see every unknown at the scale that
-    # actually enters the update y1 = y0 + h gamma_0.
-    U = y0 + h * ((I * eta) @ G)
+    # actually enters the update y1 = y0 + h gamma_0.  Each stage update is
+    # y0 + h ((I eta) @ G), evaluated in place in that order.
+    #
+    # A sweep converges when residual <= tol (1 + max|U_next|).  That
+    # maximum is a reduction, so it is taken only when the test could pass.
+    # As max|U_next| <= max|U| + residual (1 + eps), `bound` (max|y0| plus
+    # twice each residual since the last exact maximum) stays above max|U|,
+    # and a residual above tol (1 + bound), with 1% to spare for rounding,
+    # fails the exact test too.  Every sweep count, and so every output, is
+    # the one the exact test on every sweep gives.
+    U = Ieta @ G
+    U *= h
+    U += y0
+    bound = float(abs(y0).max())  # max|U|: every row of U is y0 + 0
 
     for _ in range(_MAX_SWEEPS):
-        G = PTB_k @ problem.vector_field(U[:k])
+        G = PTB_k @ vector_field(U[:k] if stacked else U)
         if nu:
-            grads = invariants.gradients(U[-r:]).reshape(r, d * nu)
+            grads = gradients(U[-r:] if stacked else U).reshape(r, d * nu)
             Phi = (PTB_r @ grads).reshape(s, d, nu)
             prods = np.einsum("jdv,jd->jv", Phi, G)
-            rhs = prods.sum(axis=0)
-            Gamma = (w[:, None] * prods[s - nu :]).T
-            # round-off scale of the rhs assembly (4 s d terms, inf over invariants)
-            rhs_noise = (
-                4.0 * s * d * _EPS
-                * float((np.abs(G).ravel() @ np.abs(Phi).reshape(s * d, nu)).max())
+            rhs_noise = noise_scale * float(
+                (abs(G).ravel() @ abs(Phi).reshape(s * d, nu)).max()
             )
+            # NumPy's column sum, not a Python loop: at nu = 1 and s >= 8 it
+            # adds pairwise, an order a loop would not reproduce
+            rhs = prods.sum(axis=0).tolist()
+            # Gamma[v][i] = w_i prods[s - nu + i][v]
+            tail = prods[s - nu :].tolist()
+            Gamma = [wi * row[v] for v in range(nu) for wi, row in zip(w, tail)]
             alpha, fallback = _solve_scaling(Gamma, rhs, w, alpha, rhs_noise)
-            fallback_sweeps += int(fallback)
-            eta[s - nu :] = 1.0 - w * alpha
+            fallback_sweeps += fallback
+            eta[s - nu :] = [1.0 - wi * ai for wi, ai in zip(w, alpha)]
+            Ieta = I * eta
 
         iterations += 1
-        U_next = y0 + h * ((I * eta) @ G)
-        residual = float(np.max(np.abs(U_next - U)))
-        scale = 1.0 + float(np.max(np.abs(U_next)))
+        U_next = Ieta @ G
+        U_next *= h
+        U_next += y0
+        U -= U_next  # |U - U_next| is |U_next - U| bit for bit
+        residual = float(abs(U).max())
         U = U_next
-        if residual <= tol * scale:
-            break
+        bound += 2.0 * residual
+        # "not >" so that a NaN residual or bound takes the exact test
+        if not residual > tol * (1.0 + bound) * 1.01:
+            bound = float(abs(U).max())
+            if residual <= tol * (1.0 + bound):
+                break
     else:
         raise NonConvergence(
             f"no fixed point after {_MAX_SWEEPS} sweeps "
@@ -278,9 +313,9 @@ def _run_step(problem, invariants, config, y0, h):
     workspace = StepWorkspace(
         gamma=G,
         eta=eta,
-        alpha=alpha,
-        Gamma=Gamma,
-        rhs=rhs,
+        alpha=np.array(alpha),
+        Gamma=np.array(Gamma).reshape(nu, nu),
+        rhs=np.array(rhs),
         iterations=iterations,
         gamma_fallback_used=bool(fallback),
         fallback_sweeps=int(fallback_sweeps),

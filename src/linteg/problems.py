@@ -26,7 +26,7 @@ def apply_structure(grad: np.ndarray, m: int) -> np.ndarray:
     """Apply J = [[0, I_m], [-I_m, 0]] to (batches of) gradients."""
     out = np.empty_like(grad)
     out[..., :m] = grad[..., m:]
-    out[..., m:] = -grad[..., :m]
+    np.negative(grad[..., :m], out=out[..., m:])
     return out
 
 
@@ -63,9 +63,9 @@ def _kepler_h(y: np.ndarray) -> np.ndarray:
 
 
 def _kepler_grad_h(y: np.ndarray) -> np.ndarray:
-    q, p = y[..., :2], y[..., 2:]
-    r3 = np.sum(q * q, axis=-1, keepdims=True) ** 1.5
-    return np.concatenate([q / r3, p], axis=-1)
+    q = y[..., :2]
+    r3 = (q * q).sum(-1, keepdims=True) ** 1.5
+    return np.concatenate((q / r3, y[..., 2:]), axis=-1)
 
 
 def kepler_problem(eccentricity: float) -> HamiltonianProblem:
@@ -93,16 +93,14 @@ def _angular_momentum(y: np.ndarray) -> np.ndarray:
     return q1 * p2 - q2 * p1
 
 
+# grad L = (p2, -p1, -q2, q1): the state reversed, two entries negated
+_L_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+_L_SIGNS.flags.writeable = False
+
+
 def _grad_angular_momentum(y: np.ndarray, out=None) -> np.ndarray:
     # out, when given, is a (..., 4) array (or view) the gradient is written into
-    q1, q2, p1, p2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-    if out is None:
-        out = np.empty(y.shape)
-    out[..., 0] = p2
-    out[..., 1] = -p1
-    out[..., 2] = -q2
-    out[..., 3] = q1
-    return out
+    return np.multiply(y[..., ::-1], _L_SIGNS, out=out)
 
 
 def _lrl_scalar(y: np.ndarray) -> np.ndarray:
@@ -114,16 +112,21 @@ def _lrl_scalar(y: np.ndarray) -> np.ndarray:
 
 
 def _grad_lrl_scalar(y: np.ndarray, out=None) -> np.ndarray:
-    # out as for _grad_angular_momentum
+    # out as for _grad_angular_momentum.  Entries: p1 p2 - q1 q2 / r^3,
+    # q1^2 / r^3 - p1^2, L - p1 q2 and p1 q1, with L = q1 p2 - q2 p1.  r^3
+    # is formed from the component views like every other entry: a single
+    # state then takes NumPy's scalar power and a batch its array power,
+    # which can differ in the last bit, just as the per-component formulas do.
     q1, q2, p1, p2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-    r3 = (q1 * q1 + q2 * q2) ** 1.5
-    ell = q1 * p2 - q2 * p1
+    q1q1 = q1 * q1
+    r3 = (q1q1 + q2 * q2) ** 1.5
+    p1q2 = p1 * q2
     if out is None:
         out = np.empty(y.shape)
-    out[..., 0] = p1 * p2 - q1 * q2 / r3
-    out[..., 1] = -p1 * p1 + q1 * q1 / r3
-    out[..., 2] = ell - p1 * q2
-    out[..., 3] = p1 * q1
+    np.subtract(p1 * p2, q1 * q2 / r3, out=out[..., 0])
+    np.subtract(q1q1 / r3, p1 * p1, out=out[..., 1])
+    np.subtract(q1 * p2 - p1q2, p1q2, out=out[..., 2])
+    np.multiply(p1, q1, out=out[..., 3])
     return out
 
 

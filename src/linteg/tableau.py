@@ -14,40 +14,18 @@ cross-check.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .polybasis import gauss_rule, integral_table, legendre_table, xi_coefficient
 
 __all__ = [
-    "SigmaScaling",
     "TableauMatrices",
     "build_hbvm_tableau",
-    "build_elim_tableau",
     "xhat_matrix",
     "tableau_to_json",
 ]
-
-
-@dataclass(frozen=True)
-class SigmaScaling:
-    """Per-direction scaling of the stage polynomial; eta[0] must stay exactly 1."""
-
-    s: int
-    eta: np.ndarray
-
-    def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float)
-        if eta.shape != (self.s,):
-            raise ValueError(f"eta must have shape ({self.s},), got {eta.shape}")
-        if eta[0] != 1.0:
-            raise ValueError(f"eta[0] must be exactly 1, got {eta[0]!r}")
-        object.__setattr__(self, "eta", eta)
-
-    @classmethod
-    def identity(cls, s: int) -> "SigmaScaling":
-        return cls(s=s, eta=np.ones(s))
 
 
 @dataclass(frozen=True)
@@ -56,7 +34,7 @@ class TableauMatrices:
 
     P and I are k x s (basis values and antiderivatives at the abscissae),
     PTB = P^T diag(b) is the s x k projection onto the basis, and
-    A = I diag(eta) PTB.
+    A = I PTB, the eta = 1 case of the I diag(eta) PTB the steppers apply.
     """
 
     s: int
@@ -85,19 +63,11 @@ def build_hbvm_tableau(k: int, s: int) -> TableauMatrices:
     P = legendre_table(s - 1, c).T
     I = integral_table(s - 1, c).T
     PTB = P.T * b
-    # build_elim_tableau's expression at eta = 1, so the two agree bit for bit
+    # the stepper's eta-scaled product (I * eta) @ PTB at eta = 1, bit for bit
     A = (I * np.ones(s)) @ PTB
     for arr in (P, I, PTB, A):
         arr.flags.writeable = False
     return TableauMatrices(s=s, k=k, c=c, b=b, P=P, I=I, PTB=PTB, A=A)
-
-
-def build_elim_tableau(k: int, s: int, sigma: SigmaScaling) -> TableauMatrices:
-    """Tableau with the stage polynomial rescaled by sigma (affine in each eta entry)."""
-    base = build_hbvm_tableau(k, s)
-    if sigma.s != s:
-        raise ValueError(f"sigma built for s={sigma.s}, tableau wants s={s}")
-    return replace(base, A=(base.I * sigma.eta) @ base.PTB)
 
 
 def xhat_matrix(s: int) -> np.ndarray:

@@ -219,6 +219,17 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         assert main(["iterations", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         assert message in capsys.readouterr().err
+    # a file that is not JSON at all is one too, naming the file and where it breaks
+    cfg.write_text('{"s": 2,')
+    assert main(["iterations", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(cfg) in captured.err and "line 1 column 9 (char 8)" in captured.err
+    cfg.write_bytes(b'{"s": "\xff"}')
+    assert main(["iterations", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert str(cfg) in capsys.readouterr().err
 
 
 def test_env_tolerance_default(tmp_path, monkeypatch, capsys):

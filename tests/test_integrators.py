@@ -210,11 +210,11 @@ def test_elim_with_degenerate_invariant_falls_back():
 def test_solve_scaling_rejects_ill_conditioned_system():
     # the 1-norm condition bound is 1e8: diag(1, 1e-7) is solved, while
     # diag(1, 1e-10) falls back although its solution would be acceptable
-    w = np.array([0.01, 0.1])
+    w = [0.01, 0.1]
     for tiny, expected in ((1e-7, False), (1e-10, True)):
-        Gamma = np.diag([1.0, tiny])
-        rhs = np.array([1.0, tiny])
-        alpha, fallback = _solve_scaling(Gamma, rhs, w, np.zeros(2), 0.0)
+        Gamma = [1.0, 0.0, 0.0, tiny]
+        rhs = [1.0, tiny]
+        alpha, fallback = _solve_scaling(Gamma, rhs, w, [0.0, 0.0], 0.0)
         assert fallback is expected
         expected_alpha = np.zeros(2) if fallback else np.ones(2)
         np.testing.assert_allclose(alpha, expected_alpha, rtol=1e-12, atol=0)
@@ -241,15 +241,18 @@ def _reference_solve_scaling(Gamma, rhs, w, alpha_old, rhs_noise):
 
 
 def _assert_same_decision(Gamma, rhs, w, alpha_old=None, rhs_noise=0.0):
+    # _solve_scaling takes Python floats (Gamma row by row) and returns a
+    # list, alpha_old itself when it keeps it; the reference takes arrays
     Gamma, rhs, w = (np.array(a, dtype=float) for a in (Gamma, rhs, w))
     if alpha_old is None:
         alpha_old = np.zeros(rhs.shape[0])
-    alpha, fallback = _solve_scaling(Gamma, rhs, w, alpha_old, rhs_noise)
+    old = alpha_old.tolist()
+    alpha, fallback = _solve_scaling(Gamma.ravel().tolist(), rhs.tolist(), w.tolist(), old, rhs_noise)
     ref_alpha, ref_fallback = _reference_solve_scaling(Gamma, rhs, w, alpha_old, rhs_noise)
     assert fallback is ref_fallback
-    assert (alpha is alpha_old) == (ref_alpha is alpha_old)
-    assert alpha.shape == rhs.shape
-    return alpha, ref_alpha
+    assert (alpha is old) == (ref_alpha is alpha_old)
+    assert type(alpha) is list and len(alpha) == rhs.shape[0]
+    return np.array(alpha), ref_alpha
 
 
 def test_solve_scaling_matches_lu_reference():
@@ -297,8 +300,8 @@ def test_solve_scaling_matches_lu_reference():
     )
     for shift, keeps in shifts:
         old = exact + shift
-        alpha, _ = _assert_same_decision(Gamma, rhs, w, old, rhs_noise=1e-10)
-        assert (alpha is old) is keeps
+        alpha, ref = _assert_same_decision(Gamma, rhs, w, old, rhs_noise=1e-10)
+        assert (ref is old) is keeps
         if not keeps:
             np.testing.assert_allclose(alpha, exact, rtol=4 * eps, atol=0)
     kept, _ = _assert_same_decision([[4.0]], [1.0], [1.0], np.array([0.25 + 1e-13]), 1e-12)
@@ -350,6 +353,72 @@ def test_elim_step_matches_reference_sweep(nu, r):
     # the nu = 2 closed form takes the adjugate where the reference takes LU,
     # so alpha may differ in its last bits; y1 is allowed one ulp per component
     np.testing.assert_allclose(y1, y1_ref, rtol=np.finfo(float).eps, atol=0)
+
+
+def _reference_hbvm_step(problem, config, y0, h):
+    # the nu = 0 sweep written out plainly: a fresh stage array from the
+    # eta-scaled operator every sweep; returns (y1, sweeps)
+    tab = build_hbvm_tableau(config.k, config.s)
+    G, eta = np.zeros((config.s, problem.dim)), np.ones(config.s)
+    U = y0 + h * ((tab.I * eta) @ G)
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        G = tab.PTB @ problem.vector_field(U)
+        U_next = y0 + h * ((tab.I * eta) @ G)
+        residual = np.max(np.abs(U_next - U))
+        scale = 1.0 + np.max(np.abs(U_next))
+        U = U_next
+        if residual <= config.fp_tolerance * scale:
+            return y0 + h * G[0], sweep
+    raise AssertionError("reference sweep did not converge")
+
+
+@pytest.mark.parametrize(
+    "problem, s, k, start",
+    [
+        (kepler_problem(0.6), 3, 3, None),
+        (kepler_problem(0.6), 3, 6, None),
+        (kepler_problem(0.6), 3, 12, None),
+        (polynomial_oscillator(4), 2, 4, None),
+        # from q = 5 the stage values run far past max|y0| within a step,
+        # which tests the sweep's running bound on max|U|
+        (polynomial_oscillator(4), 2, 4, (5.0, 0.0)),
+    ],
+    ids=["gauss3", "hbvm6_3", "hbvm12_3", "oscillator4_hbvm4_2", "oscillator4_from_q5"],
+)
+def test_hbvm_step_matches_reference_sweep(problem, s, k, start):
+    # the shared sweep does the reference's floating-point operations in the
+    # same order and takes the same convergence decisions, so every step and
+    # its sweep count agree bit for bit; one step alone often hides a
+    # reordered product, so 40 are compared
+    config = MethodConfig(s=s, k=k)
+    y = problem.initial_state if start is None else np.array(start)
+    for _ in range(40):
+        y1, ws = hbvm_step(problem, config, y, 0.1)
+        y1_ref, sweeps = _reference_hbvm_step(problem, config, y, 0.1)
+        assert ws.iterations == sweeps
+        np.testing.assert_array_equal(y1, y1_ref)
+        y = y1
+
+
+def test_sweep_after_a_non_finite_one_matches_reference():
+    # a vector field that is NaN on its first call and finite after it: the
+    # NaN residual must not keep later sweeps from the exact convergence test
+    def flaky_oscillator():
+        calls = []
+
+        def grad(y):
+            calls.append(1)
+            g = np.stack([y[..., 0] ** 3, y[..., 1]], axis=-1)
+            return np.full_like(g, np.nan) if len(calls) == 1 else np.nan_to_num(g)
+
+        ham = lambda y: 0.5 * y[..., 1] ** 2 + 0.25 * y[..., 0] ** 4
+        return HamiltonianProblem("flaky", 1, ham, grad, np.array([1.0, 0.0]))
+
+    config = MethodConfig(s=2, k=4)
+    y1, ws = hbvm_step(flaky_oscillator(), config, np.array([1.0, 0.0]), 0.1)
+    y1_ref, sweeps = _reference_hbvm_step(flaky_oscillator(), config, np.array([1.0, 0.0]), 0.1)
+    assert ws.iterations == sweeps
+    np.testing.assert_array_equal(y1, y1_ref)
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,7 @@ import pytest
 
 from linteg.polybasis import gauss_rule, legendre_table
 from linteg.tableau import (
-    SigmaScaling,
     TableauMatrices,
-    build_elim_tableau,
     build_hbvm_tableau,
     tableau_to_json,
     xhat_matrix,
@@ -151,41 +149,31 @@ def test_simplifying_assumption_low_order():
         np.testing.assert_allclose(lhs, tab.c**q / q, rtol=0, atol=1e-13)
 
 
+def _scaled_a(k, s, eta):
+    # the Butcher matrix of an ELIM step with scaling eta, as the stepper
+    # forms it from the HBVM factors: (I diag(eta)) PTB
+    tab = build_hbvm_tableau(k, s)
+    return (tab.I * np.asarray(eta, dtype=float)) @ tab.PTB
+
+
 @pytest.mark.parametrize("eta1", [1.0, 0.8, 1.37, -0.2])
 def test_elim_2_2_closed_form(eta1):
-    scaling = SigmaScaling(s=2, eta=np.array([1.0, eta1]))
-    tab = build_elim_tableau(2, 2, scaling)
     expected = np.array([
         [0.25 + (eta1 - 1.0) * SQRT3 / 12, 0.25 - (eta1 + 1.0) * SQRT3 / 12],
         [0.25 + (eta1 + 1.0) * SQRT3 / 12, 0.25 - (eta1 - 1.0) * SQRT3 / 12],
     ])
-    np.testing.assert_allclose(tab.A, expected, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(_scaled_a(2, 2, [1.0, eta1]), expected, rtol=0, atol=1e-14)
 
 
 def test_elim_identity_scaling_is_hbvm():
-    tab_e = build_elim_tableau(8, 3, SigmaScaling.identity(3))
-    tab_h = build_hbvm_tableau(8, 3)
-    np.testing.assert_array_equal(tab_e.A, tab_h.A)
+    np.testing.assert_array_equal(_scaled_a(8, 3, np.ones(3)), build_hbvm_tableau(8, 3).A)
 
 
 def test_elim_scaling_is_rank_one_update_per_eta():
     # perturbing one eta component changes A by a rank-1 matrix
-    base = build_elim_tableau(6, 3, SigmaScaling.identity(3))
-    eta = np.array([1.0, 1.0, 0.7])
-    bumped = build_elim_tableau(6, 3, SigmaScaling(s=3, eta=eta))
-    delta = bumped.A - base.A
+    delta = _scaled_a(6, 3, [1.0, 1.0, 0.7]) - _scaled_a(6, 3, np.ones(3))
     rank = np.linalg.matrix_rank(delta, tol=1e-12)
     assert rank == 1
-
-
-def test_sigma_scaling_validation():
-    with pytest.raises(ValueError):
-        SigmaScaling(s=2, eta=np.array([0.9, 1.0]))
-    with pytest.raises(ValueError):
-        SigmaScaling(s=2, eta=np.array([1.0]))
-    ident = SigmaScaling.identity(4)
-    assert ident.eta[0] == 1.0
-    np.testing.assert_array_equal(ident.eta, np.ones(4))
 
 
 def test_build_validation():
@@ -193,8 +181,6 @@ def test_build_validation():
         build_hbvm_tableau(2, 3)
     with pytest.raises(ValueError):
         build_hbvm_tableau(0, 0)
-    with pytest.raises(ValueError):
-        build_elim_tableau(3, 3, SigmaScaling.identity(2))
 
 
 def test_tableau_to_json_roundtrip():
