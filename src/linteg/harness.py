@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import drift_report, estimate_orders, max_norm_error, reference_solution
+from .analysis import drift_report, max_norm_error, reference_solution
 from .integrators import ConfigError, MethodConfig, NonConvergence, _max_steps, integrate
 from .problems import (
     HamiltonianProblem,
@@ -35,9 +35,14 @@ from .tableau import build_hbvm_tableau, tableau_to_json
 
 __all__ = ["ExperimentSpec", "main", "parse_step_size", "run_experiment"]
 
-_EXPERIMENTS = ("tableau", "convergence", "alpha-norm", "iterations", "drift")
 _METHODS = ("gauss", "hbvm", "elim")
-_INVARIANT_CHOICES = ("none", "L1", "L1L2")
+# each --invariants label: the number nu of invariants imposed and the
+# kepler_invariants selection that imposes them
+_INVARIANTS = {
+    "none": (0, None),
+    "L1": (1, "angular_momentum_only"),
+    "L1L2": (2, "angular_momentum_and_lrl"),
+}
 _DEFAULT_TOL = 1e-14
 
 _PI_PATTERN = re.compile(
@@ -69,6 +74,12 @@ def _fmt(value) -> str:
     return f"{value:.16g}"
 
 
+def _order(prev, cur) -> str:
+    """Observed order log2(prev / cur) between successive step sizes, as a
+    CSV cell; blank where it is undefined (a value that is not > 0)."""
+    return _fmt(math.log2(prev / cur)) if prev > 0 and cur > 0 else ""
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One validated experiment invocation."""
@@ -92,14 +103,14 @@ class ExperimentSpec:
         return self.k if self.k is not None else self.s
 
     def nu(self) -> int:
-        return {"none": 0, "L1": 1, "L1L2": 2}[self.invariants]
+        return _INVARIANTS[self.invariants][0]
 
     def validate(self) -> None:
-        if self.experiment not in _EXPERIMENTS:
+        if self.experiment not in (*_RUNNERS, "tableau"):
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.invariants not in _INVARIANT_CHOICES:
+        if self.invariants not in _INVARIANTS:
             raise ConfigError(f"unknown invariant selection {self.invariants!r}")
         if not (self.problem == "kepler" or re.fullmatch(r"oscillator[2468]", self.problem)):
             raise ConfigError(f"unknown problem {self.problem!r}")
@@ -160,11 +171,8 @@ class ExperimentSpec:
         return polynomial_oscillator(int(self.problem.removeprefix("oscillator")))
 
     def build_invariants(self) -> Optional[InvariantSet]:
-        if self.invariants == "L1":
-            return kepler_invariants("angular_momentum_only")
-        if self.invariants == "L1L2":
-            return kepler_invariants("angular_momentum_and_lrl")
-        return None
+        selection = _INVARIANTS[self.invariants][1]
+        return kepler_invariants(selection) if selection else None
 
 
 def _monitored_invariants(spec: ExperimentSpec):
@@ -198,13 +206,13 @@ def _run_convergence(spec: ExperimentSpec, out: Path) -> None:
     h_ref = min(spec.step_sizes) / 2.0
     y_ref = reference_solution(problem, h_ref, spec.horizon)
     rows = []
-    errors = []
+    prev = None
     for h, n, traj in _runs(spec, problem):
         err = max_norm_error(traj.states[-1], y_ref)
-        errors.append(err)
-        order = "" if len(errors) < 2 else _fmt(math.log2(errors[-2] / errors[-1]))
+        order = "" if prev is None else _order(prev, err)
         rows.append([_fmt(h), str(n), _fmt(err), order, str(traj.iteration_total)])
         print(f"h={_fmt(h)}  n={n}  error={_fmt(err)}  iterations={traj.iteration_total}")
+        prev = err
     _write_csv(out, ["h", "n_steps", "error", "order", "iteration_total"], rows)
 
 
@@ -223,8 +231,7 @@ def _run_alpha_norm(spec: ExperimentSpec, out: Path) -> None:
             )
         print(f"h={_fmt(h)}  n={n}  max|alpha|={_fmt(amax)}")
     if len(maxima) >= 2:
-        orders = estimate_orders(maxima)
-        print("alpha orders:", " ".join(_fmt(o) for o in orders))
+        print("alpha orders:", " ".join(map(_order, maxima, maxima[1:])))
     header = (
         ["h", "n", "t"] + [f"alpha_{v + 1}" for v in range(nu)] + ["alpha_inf"]
     )
@@ -286,6 +293,14 @@ def _run_tableau(spec: ExperimentSpec, out: Optional[Path]) -> None:
         print(f"wrote {out}")
 
 
+_RUNNERS = {
+    "convergence": _run_convergence,
+    "alpha-norm": _run_alpha_norm,
+    "iterations": _run_iterations,
+    "drift": _run_drift,
+}
+
+
 def run_experiment(spec: ExperimentSpec) -> None:
     """Validate and execute one experiment, writing its output file."""
     spec.validate()
@@ -295,14 +310,7 @@ def run_experiment(spec: ExperimentSpec) -> None:
         return
     if out is None:
         raise ConfigError("this experiment writes CSV; pass --out")
-    if spec.experiment == "convergence":
-        _run_convergence(spec, out)
-    elif spec.experiment == "alpha-norm":
-        _run_alpha_norm(spec, out)
-    elif spec.experiment == "iterations":
-        _run_iterations(spec, out)
-    elif spec.experiment == "drift":
-        _run_drift(spec, out)
+    _RUNNERS[spec.experiment](spec, out)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +330,8 @@ _BENCHMARK_DENOMS = (30, 60, 120, 240, 480)
 
 
 def _write_order_table(path, steps, labels, values, value_name, order_name):
-    """Write h, then per label its value at h and the order log2(prev / cur)
-    against the previous step, one row per step."""
+    """Write h, then per label its value at h and its order against the
+    previous step (see _order), one row per step."""
     header = ["h"]
     for label in labels:
         header += [f"{value_name}_{label}", f"{order_name}_{label}"]
@@ -332,7 +340,7 @@ def _write_order_table(path, steps, labels, values, value_name, order_name):
         row = [_fmt(h)]
         for label in labels:
             cur = values[label, h]
-            row += [_fmt(cur), _fmt(math.log2(values[label, steps[i - 1]] / cur)) if i else ""]
+            row += [_fmt(cur), _order(values[label, steps[i - 1]], cur) if i else ""]
         rows.append(row)
     _write_csv(path, header, rows)
 
@@ -348,8 +356,8 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
     both."""
     problem = kepler_problem(0.6)
     horizon = 20.0 * math.pi
-    y_ref = problem.initial_state
     steps = tuple(math.pi / d for d in _BENCHMARK_DENOMS)
+    y_ref = reference_solution(problem, min(steps) / 2.0, horizon)
     conv_tol = tol if tol is not None else 1e-15
     base_tol = tol if tol is not None else _DEFAULT_TOL
     specs = {
@@ -441,27 +449,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="experiment runner for the conserving line-integral methods",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    def add_common(p, with_steps=True):
+    helps = {name: f"run the {name} experiment" for name in _RUNNERS}
+    helps["tableau"] = "export a Butcher tableau as JSON"
+    for name, text in helps.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON file with defaults; flags override it")
-        p.add_argument("--problem", help="kepler or oscillator{2,4,6,8}")
-        p.add_argument("--eccentricity", type=float, help="kepler eccentricity")
-        p.add_argument("--method", choices=_METHODS, help="integrator family")
-        p.add_argument("-s", type=int, dest="s", help="polynomial degree count (order 2s)")
-        p.add_argument("-k", type=int, dest="k", help="Gauss nodes for the Hamiltonian")
-        p.add_argument("-r", type=int, dest="r", help="Gauss nodes for the invariants")
-        p.add_argument(
-            "--invariants", choices=_INVARIANT_CHOICES, help="invariants the method imposes"
-        )
-        p.add_argument("--tol", type=float, help="fixed-point tolerance")
-        p.add_argument("--out", help="output file path")
-        if with_steps:
-            p.add_argument("--steps", help="comma list of step sizes, e.g. pi/30,pi/60")
-            p.add_argument("--horizon", help="integration time, e.g. 20pi or 1000")
-
-    for name in ("convergence", "alpha-norm", "iterations", "drift"):
-        add_common(sub.add_parser(name, help=f"run the {name} experiment"))
-    add_common(sub.add_parser("tableau", help="export a Butcher tableau as JSON"), with_steps=False)
+        for key, (flag, _, options) in _SETTINGS.items():
+            if name != "tableau" or key not in ("steps", "horizon"):
+                p.add_argument(flag, dest=key, **options)
 
     repro = sub.add_parser(
         "reproduce-paper", help="run the full published benchmark set"
@@ -482,68 +477,71 @@ _JSON_KINDS = {
     "null": lambda v: v is None,
     "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
 }
-# the JSON values each --config key takes (command-line flags are typed by argparse)
-_CONFIG_KEYS = {
-    "problem": ("a string",), "method": ("a string",), "invariants": ("a string",),
-    "out": ("a string",), "s": ("an integer",), "k": ("an integer", "null"),
-    "r": ("an integer", "null"), "eccentricity": ("a number",), "tol": ("a number",),
-    "steps": ("a string", "a list of numbers"), "horizon": ("a string", "a number"),
+# each setting of an experiment subcommand: its flag, the JSON values its
+# --config key takes, and its argparse options; ExperimentSpec holds the defaults
+_SETTINGS = {
+    "problem": ("--problem", ("a string",), dict(help="kepler or oscillator{2,4,6,8}")),
+    "eccentricity": ("--eccentricity", ("a number",),
+                     dict(type=float, help="kepler eccentricity")),
+    "method": ("--method", ("a string",), dict(choices=_METHODS, help="integrator family")),
+    "s": ("-s", ("an integer",), dict(type=int, help="polynomial degree count (order 2s)")),
+    "k": ("-k", ("an integer", "null"), dict(type=int, help="Gauss nodes for the Hamiltonian")),
+    "r": ("-r", ("an integer", "null"), dict(type=int, help="Gauss nodes for the invariants")),
+    "invariants": ("--invariants", ("a string",),
+                   dict(choices=tuple(_INVARIANTS), help="invariants the method imposes")),
+    "tol": ("--tol", ("a number",), dict(type=float, help="fixed-point tolerance")),
+    "out": ("--out", ("a string",), dict(help="output file path")),
+    "steps": ("--steps", ("a string", "a list of numbers"),
+              dict(help="comma list of step sizes, e.g. pi/30,pi/60")),
+    "horizon": ("--horizon", ("a string", "a number"),
+                dict(help="integration time, e.g. 20pi or 1000")),
 }
 
 
 def _load_config(path: str) -> dict:
-    # JSON text is UTF-8 (RFC 8259), whatever the locale
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        # JSON text is UTF-8 (RFC 8259), whatever the locale
+        with open(path, encoding="utf-8") as fh:
             values = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(values) - set(_CONFIG_KEYS)
+    unknown = set(values) - set(_SETTINGS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in values.items():
-        kinds = _CONFIG_KEYS[key]
+        kinds = _SETTINGS[key][1]
         if not any(_JSON_KINDS[kind](value) for kind in kinds):
             raise ConfigError(f"config key {key!r} must be {' or '.join(kinds)}, got {value!r}")
     return values
 
 
 def _spec_from_args(args: argparse.Namespace, env_tol: Optional[float]) -> ExperimentSpec:
-    file_values = _load_config(args.config) if getattr(args, "config", None) else {}
+    # rising precedence: ELIM_FP_TOL, the --config file, the flags given
+    values = {} if env_tol is None else {"tol": env_tol}
+    if args.config:
+        values.update(_load_config(args.config))
+    for key in _SETTINGS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
 
-    def pick(name, default):
-        flag = getattr(args, name.replace("-", "_"), None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return file_values[name]
-        return default
-
-    steps = pick("steps", [])
+    steps = values.pop("steps", ())
     if isinstance(steps, str):
         steps = [parse_step_size(tok) for tok in steps.split(",")]
-
-    horizon = pick("horizon", 0.0)
+    horizon = values.pop("horizon", 0.0)
     if isinstance(horizon, str):
         horizon = parse_step_size(horizon)
-
-    tol = pick("tol", env_tol if env_tol is not None else _DEFAULT_TOL)
-
+    for key in ("eccentricity", "tol"):
+        if key in values:
+            values[key] = float(values[key])
     return ExperimentSpec(
-        experiment=args.experiment,
-        problem=pick("problem", "kepler"),
-        eccentricity=float(pick("eccentricity", 0.6)),
-        method=pick("method", "hbvm"),
-        s=pick("s", 3),
-        k=pick("k", None),
-        r=pick("r", None),
-        invariants=pick("invariants", "none"),
+        args.experiment,
         step_sizes=tuple(float(h) for h in steps),
         horizon=float(horizon),
-        tol=float(tol),
-        out=pick("out", None),
+        **values,
     )
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
     "gauss_rule",
     "legendre_table",
     "integral_table",

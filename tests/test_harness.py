@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from linteg import harness
 from linteg.harness import ExperimentSpec, main, parse_step_size
 from linteg.integrators import ConfigError
 from linteg.tableau import build_hbvm_tableau
@@ -230,6 +231,73 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert main(["iterations", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
     assert str(cfg) in capsys.readouterr().err
+    # so is a file that cannot be read: missing, or a directory
+    for path, reason in ((tmp_path / "missing.json", "No such file"), (tmp_path, "Is a directory")):
+        assert main(["iterations", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot read config file {path}: {reason}" in captured.err
+
+
+def test_config_file_and_flags_give_the_same_run(tmp_path, monkeypatch):
+    settings = {
+        "problem": "kepler", "eccentricity": 0.5, "method": "elim", "s": 2, "k": 6, "r": 4,
+        "invariants": "L1", "tol": 1e-12, "out": str(tmp_path / "from_config.csv"),
+        "steps": [0.1], "horizon": 2,
+    }
+    # every setting a flag takes can come from the file
+    assert set(settings) == set(harness._SETTINGS)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(settings))
+    flags = [
+        "drift", "--problem", "kepler", "--eccentricity", "0.5", "--method", "elim",
+        "-s", "2", "-k", "6", "-r", "4", "--invariants", "L1", "--steps", "0.1", "--horizon", "2",
+    ]
+
+    def run(args, name):
+        out = tmp_path / name
+        assert main(args + ["--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert main(["drift", "--config", str(cfg)]) == 0
+    from_config = (tmp_path / "from_config.csv").read_bytes()
+    assert run(flags + ["--tol", "1e-12"], "tight.csv") == from_config
+    loose = run(flags + ["--tol", "1e-6"], "loose.csv")
+    assert loose != from_config
+    # a flag overrides the file, and ELIM_FP_TOL loses to both
+    assert run(["drift", "--config", str(cfg), "--tol", "1e-6"], "override.csv") == loose
+    monkeypatch.setenv("ELIM_FP_TOL", "1e-6")
+    assert run(["drift", "--config", str(cfg)], "env_and_config.csv") == from_config
+    assert run(flags + ["--tol", "1e-12"], "env_and_flag.csv") == from_config
+    assert run(flags, "env_only.csv") == loose
+
+
+def test_undefined_orders_are_blank_cells(tmp_path, capsys):
+    # at tolerance 1 every step stops after its first sweep with alpha still 0,
+    # so the alpha order between the two step sizes is undefined
+    out = tmp_path / "alpha.csv"
+    code = main([
+        "alpha-norm", "--method", "elim", "-s", "3", "-k", "12", "--invariants", "L1",
+        "--steps", "pi/8,pi/16", "--horizon", "2pi", "--tol", "1", "--out", str(out),
+    ])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "h,n,t,alpha_1,alpha_inf"
+    assert len(lines) == 1 + 16 + 32
+    assert all(line.split(",")[3:] == ["0", "0"] for line in lines[1:])
+    assert capsys.readouterr().out.splitlines()[-1] == "alpha orders: "
+    # the reproduce-paper tables leave a zero value's order blank too
+    table = tmp_path / "orders.csv"
+    values = {("a", 0.5): 1e-3, ("a", 0.25): 0.0, ("a", 0.125): 1e-4,
+              ("b", 0.5): 4e-3, ("b", 0.25): 1e-3, ("b", 0.125): 2.5e-4}
+    harness._write_order_table(table, (0.5, 0.25, 0.125), ("a", "b"), values, "v", "order")
+    assert table.read_text().splitlines() == [
+        "h,v_a,order_a,v_b,order_b",
+        "0.5,0.001,,0.004,",
+        "0.25,0,,0.001,2",
+        "0.125,0.0001,,0.00025,2",
+    ]
 
 
 def test_env_tolerance_default(tmp_path, monkeypatch, capsys):

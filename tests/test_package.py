@@ -1,0 +1,24 @@
+"""The package's public names."""
+
+import linteg
+from linteg import analysis, integrators, polybasis, problems, tableau
+
+
+def test_package_exports_every_module_list():
+    modules = (analysis, integrators, polybasis, problems, tableau)
+    assert linteg.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(linteg.__all__)) == len(linteg.__all__)
+    # each name resolves on the package to the object its module defines
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(linteg, name) is getattr(module, name)
+    assert "QuadratureRule" not in linteg.__all__
+    assert sorted(linteg.__all__) == [
+        "ConfigError", "DriftReport", "HamiltonianProblem", "InvariantSet", "MethodConfig",
+        "NonConvergence", "StepWorkspace", "TableauMatrices", "Trajectory", "apply_structure",
+        "build_hbvm_tableau", "cost_ratio", "drift_report", "drift_slope", "elim_step",
+        "estimate_orders", "gauss_rule", "hbvm_step", "integral_table", "integrate",
+        "kepler_invariants", "kepler_problem", "legendre_table", "max_norm_error",
+        "polynomial_oscillator", "reference_solution", "tableau_to_json", "xhat_matrix",
+        "xi_coefficient",
+    ]
