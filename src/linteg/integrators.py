@@ -14,13 +14,14 @@ gamma_0 in both cases.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .problems import HamiltonianProblem, InvariantSet
+from .problems import HamiltonianProblem, InvariantSet, apply_structure
 from .tableau import build_hbvm_tableau
 
 __all__ = [
@@ -76,6 +77,10 @@ class MethodConfig:
         return self.k if self.r is None else self.r
 
     def validate(self, nu: int = 0) -> None:
+        # bool is an int subclass; a float, even a whole one, is no node count
+        for name, value in (("s", self.s), ("k", self.k), ("r", self.resolved_r())):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.s < 1:
             raise ConfigError(f"need s >= 1, got s={self.s}")
         if self.k < self.s:
@@ -89,8 +94,10 @@ class MethodConfig:
                 raise ConfigError(
                     f"conserving nu={nu} invariants needs s > nu, got s={self.s}"
                 )
-        if not 0.0 < self.fp_tolerance < math.inf:
-            raise ConfigError(f"fp_tolerance must be positive and finite, got {self.fp_tolerance}")
+        tol = self.fp_tolerance
+        real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+        if not (real and 0.0 < tol < math.inf):
+            raise ConfigError(f"fp_tolerance must be a positive finite number, got {tol!r}")
 
 
 @dataclass
@@ -209,114 +216,156 @@ def _solve_small(g, det, b, w, old, rhs_noise):
     return alpha, False
 
 
-def _run_step(problem, invariants, config, y0, h):
+@functools.lru_cache(maxsize=None)
+def _structure_transpose(m):
+    """J^T, read-only and cached per m.
+
+    g @ J^T is apply_structure(g, m) when g is finite, but for the sign of an
+    exact zero; a non-finite entry of g makes its whole row NaN.
+    """
+    jt = apply_structure(np.eye(2 * m), m)
+    jt.flags.writeable = False
+    return jt
+
+
+def _stepper(problem, invariants, config, h):
+    """Build the sweep loop of a run of steps of size h; returns step(y0).
+
+    What does not depend on the state (the operators, w, the noise scale,
+    J^T and the first stage array) is made here once, so a step runs only
+    its sweeps.  step(y0) returns (y1, sweeps, alpha, fallback, G, eta,
+    Gamma, rhs, fallback_sweeps): alpha, Gamma (row by row) and rhs are
+    lists of Python floats, and eta is the stepper's own array, which the
+    next step overwrites.
+    """
     s, k = config.s, config.k
     nu = invariants.nu if invariants is not None else 0
     d = problem.dim
     tol = config.fp_tolerance
-    vector_field = problem.vector_field
+    grad_h = problem.grad_h
+    JT = _structure_transpose(problem.m)
 
     # One stage array U: rows [:k] are the Hamiltonian nodes, rows [-r:] the
-    # invariant nodes.  With r = k the cached tableau is the same record and
-    # both cover all of U; otherwise the r-node rows are stacked under the
-    # k-node ones.
+    # invariant nodes.  With r = k both cover all of U; otherwise the r-node
+    # rows are stacked under the k-node ones.
     tab_k = build_hbvm_tableau(k, s)
     I, PTB_k = tab_k.I, tab_k.PTB
+    Ieta = I
+    eta = np.ones(s)
     stacked = False
     if nu:
         r = config.resolved_r()
-        tab_r = build_hbvm_tableau(r, s)
+        stacked = r != k
+        tab_r = build_hbvm_tableau(r, s) if stacked else tab_k
         PTB_r = tab_r.PTB
-        stacked = tab_r is not tab_k
         if stacked:
             I = np.vstack((I, tab_r.I))
         gradients = invariants.gradients
         # even powers h^(2(s-1-j)) for the corrected tail j = s-nu .. s-1
-        w = ((float(h) * float(h)) ** np.arange(nu - 1, -1, -1)).tolist()
+        w = ((h * h) ** np.arange(nu - 1, -1, -1)).tolist()
         # round-off scale of the rhs assembly: 4 s d terms per invariant
         noise_scale = 4.0 * s * d * _EPS
+        # I eta differs from I only in its nu tail columns, which each sweep
+        # rewrites in place
+        Ieta = I.copy()
+        I_tail, Ieta_tail, eta_tail = I[:, s - nu :], Ieta[:, s - nu :], eta[s - nu :]
+    IetaT = Ieta.T
 
-    # The scaling system (Gamma, rhs, alpha) is kept in Python floats: at
-    # nu <= 2 a handful of float operations cost less than NumPy calls.
-    G = np.zeros((s, d))
-    alpha = [0.0] * nu
-    eta = np.ones(s)
-    Ieta = I * eta  # refreshed each sweep only when eta moves, i.e. nu > 0
-    Gamma = [0.0] * (nu * nu)
-    rhs = [0.0] * nu
-    fallback = False
-    fallback_sweeps = 0
-    iterations = 0
-    residual = np.inf
-
-    # Convergence is measured on the stage values rather than on gamma or
-    # alpha directly: the eta rescaling amplifies round-off in alpha by
-    # norm(inv(Gamma)), so a raw alpha difference never settles to the
-    # tolerance, while the stage values see every unknown at the scale that
-    # actually enters the update y1 = y0 + h gamma_0.  Each stage update is
-    # y0 + h ((I eta) @ G), evaluated in place in that order.
+    # The stage arrays are column-major: np.dot(G.T, IetaT).T holds the bits
+    # of (I eta) @ G, and every column y[..., i] a problem callable reads is
+    # contiguous.  Every step starts from G = 0, so its first stage array is
+    # y0 plus the same h ((I eta) @ 0), formed here once.
     #
-    # A sweep converges when residual <= tol (1 + max|U_next|).  That
-    # maximum is a reduction, so it is taken only when the test could pass.
-    # As max|U_next| <= max|U| + residual (1 + eps), `bound` (max|y0| plus
-    # twice each residual since the last exact maximum) stays above max|U|,
-    # and a residual above tol (1 + bound), with 1% to spare for rounding,
-    # fails the exact test too.  Every sweep count, and so every output, is
-    # the one the exact test on every sweep gives.
-    U = Ieta @ G
-    U *= h
-    U += y0
-    bound = float(abs(y0).max())  # max|U|: every row of U is y0 + 0
+    # The sweep's products are np.dot, not @: on these small 2-d operands
+    # both make the same BLAS call, and np.dot costs less to dispatch.
+    zero_stage = np.dot(np.zeros((d, s)), IetaT).T * h
 
-    for _ in range(_MAX_SWEEPS):
-        G = PTB_k @ vector_field(U[:k] if stacked else U)
-        if nu:
-            grads = gradients(U[-r:] if stacked else U).reshape(r, d * nu)
-            Phi = (PTB_r @ grads).reshape(s, d, nu)
-            prods = np.einsum("jdv,jd->jv", Phi, G)
-            rhs_noise = noise_scale * float(
-                (abs(G).ravel() @ abs(Phi).reshape(s * d, nu)).max()
+    def step(y0):
+        # The scaling system (Gamma, rhs, alpha) is kept in Python floats:
+        # at nu <= 2 a handful of float operations cost less than NumPy calls.
+        alpha = [0.0] * nu
+        Gamma = [0.0] * (nu * nu)
+        rhs = [0.0] * nu
+        fallback = False
+        fallback_sweeps = 0
+
+        # Convergence is measured on the stage values rather than on gamma
+        # or alpha directly: the eta rescaling amplifies round-off in alpha
+        # by norm(inv(Gamma)), so a raw alpha difference never settles to
+        # the tolerance, while the stage values see every unknown at the
+        # scale that actually enters the update y1 = y0 + h gamma_0.  Each
+        # stage update is y0 + h ((I eta) @ G), evaluated in place in that
+        # order.
+        #
+        # A sweep converges when residual <= tol (1 + max|U_next|).  That
+        # maximum is a reduction, so it is taken only when the test could
+        # pass.  As max|U_next| <= max|U| + residual (1 + eps), `bound`
+        # (max|y0| plus twice each residual since the last exact maximum)
+        # stays above max|U|, and a residual above tol (1 + bound), with 1%
+        # to spare for rounding, fails the exact test too.  Every sweep
+        # count, and so every output, is the one the exact test on every
+        # sweep gives.
+        U = zero_stage + y0
+        bound = float(abs(y0).max())  # max|U|: every row of U is y0 + 0
+
+        for sweeps in range(1, _MAX_SWEEPS + 1):
+            # gamma_j = J sum_i b_i P_j(c_i) grad H(u(c_i h)): J, a signed
+            # permutation, acts on the s projected rows, not the k gradients
+            G = np.dot(np.dot(PTB_k, grad_h(U[:k] if stacked else U)), JT)
+            if nu:
+                grads = gradients(U[-r:] if stacked else U).reshape(r, d * nu)
+                Phi = np.dot(PTB_r, grads).reshape(s, d, nu)
+                prods = np.einsum("jdv,jd->jv", Phi, G)
+                rhs_noise = noise_scale * float(
+                    np.dot(abs(G).ravel(), abs(Phi).reshape(s * d, nu)).max()
+                )
+                # NumPy's column sum, not a Python loop: at nu = 1 and s >= 8
+                # it adds pairwise, an order a loop would not reproduce
+                rhs = prods.sum(axis=0).tolist()
+                # Gamma[v][i] = w_i prods[s - nu + i][v]
+                tail = prods[s - nu :].tolist()
+                Gamma = [wi * row[v] for v in range(nu) for wi, row in zip(w, tail)]
+                alpha, fallback = _solve_scaling(Gamma, rhs, w, alpha, rhs_noise)
+                fallback_sweeps += fallback
+                eta_tail[:] = [1.0 - wi * ai for wi, ai in zip(w, alpha)]
+                np.multiply(I_tail, eta_tail, out=Ieta_tail)
+
+            U_next = np.dot(G.T, IetaT).T
+            U_next *= h
+            U_next += y0
+            U -= U_next  # |U - U_next| is |U_next - U| bit for bit
+            residual = float(abs(U).max())
+            U = U_next
+            bound += 2.0 * residual
+            # "not >" so that a NaN residual or bound takes the exact test
+            if not residual > tol * (1.0 + bound) * 1.01:
+                bound = float(abs(U).max())
+                if residual <= tol * (1.0 + bound):
+                    break
+        else:
+            raise NonConvergence(
+                f"no fixed point after {_MAX_SWEEPS} sweeps "
+                f"(residual {residual:.3e}, h={h!r})",
+                residual=residual,
+                iterations=_MAX_SWEEPS,
             )
-            # NumPy's column sum, not a Python loop: at nu = 1 and s >= 8 it
-            # adds pairwise, an order a loop would not reproduce
-            rhs = prods.sum(axis=0).tolist()
-            # Gamma[v][i] = w_i prods[s - nu + i][v]
-            tail = prods[s - nu :].tolist()
-            Gamma = [wi * row[v] for v in range(nu) for wi, row in zip(w, tail)]
-            alpha, fallback = _solve_scaling(Gamma, rhs, w, alpha, rhs_noise)
-            fallback_sweeps += fallback
-            eta[s - nu :] = [1.0 - wi * ai for wi, ai in zip(w, alpha)]
-            Ieta = I * eta
+        return y0 + h * G[0], sweeps, alpha, fallback, G, eta, Gamma, rhs, fallback_sweeps
 
-        iterations += 1
-        U_next = Ieta @ G
-        U_next *= h
-        U_next += y0
-        U -= U_next  # |U - U_next| is |U_next - U| bit for bit
-        residual = float(abs(U).max())
-        U = U_next
-        bound += 2.0 * residual
-        # "not >" so that a NaN residual or bound takes the exact test
-        if not residual > tol * (1.0 + bound) * 1.01:
-            bound = float(abs(U).max())
-            if residual <= tol * (1.0 + bound):
-                break
-    else:
-        raise NonConvergence(
-            f"no fixed point after {_MAX_SWEEPS} sweeps "
-            f"(residual {residual:.3e}, h={h!r})",
-            residual=residual,
-            iterations=iterations,
-        )
+    return step
 
-    y1 = y0 + h * G[0]
+
+def _one_step(problem, invariants, config, y0, h):
+    """One step through a fresh stepper, with its StepWorkspace."""
+    step = _stepper(problem, invariants, config, h)
+    y1, sweeps, alpha, fallback, G, eta, Gamma, rhs, fallback_sweeps = step(y0)
+    nu = len(alpha)
     workspace = StepWorkspace(
         gamma=G,
         eta=eta,
         alpha=np.array(alpha),
         Gamma=np.array(Gamma).reshape(nu, nu),
         rhs=np.array(rhs),
-        iterations=iterations,
+        iterations=sweeps,
         gamma_fallback_used=bool(fallback),
         fallback_sweeps=int(fallback_sweeps),
     )
@@ -354,7 +403,7 @@ def hbvm_step(
 ):
     """One energy-conserving step; returns (y1, workspace)."""
     y0, h = _validate(problem, config, 0, y0, h)
-    return _run_step(problem, None, config, y0, h)
+    return _one_step(problem, None, config, y0, h)
 
 
 def elim_step(
@@ -368,7 +417,7 @@ def elim_step(
     if invariants is None or invariants.nu < 1:
         raise ConfigError("elim_step needs an InvariantSet with nu >= 1")
     y0, h = _validate(problem, config, invariants.nu, y0, h)
-    return _run_step(problem, invariants, config, y0, h)
+    return _one_step(problem, invariants, config, y0, h)
 
 
 def integrate(
@@ -381,6 +430,8 @@ def integrate(
     """March n_steps steps of size h from the problem's initial state."""
     nu = invariants.nu if invariants is not None else 0
     y, h = _validate(problem, config, nu, problem.initial_state, h)
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
+        raise ConfigError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
     if n_steps > _max_steps(problem.dim):
@@ -395,9 +446,10 @@ def integrate(
     alphas = np.zeros((n_steps, nu))
     fallbacks = np.zeros(n_steps, dtype=bool)
 
+    step = _stepper(problem, invariants, config, h)
     for i in range(n_steps):
         try:
-            y, ws = _run_step(problem, invariants, config, y, h)
+            y, iterations[i], alpha, fallbacks[i] = step(y)[:4]
         except NonConvergence as exc:
             raise NonConvergence(
                 f"step {i + 1} of {n_steps}: {exc}",
@@ -406,10 +458,8 @@ def integrate(
                 step_index=i + 1,
             ) from exc
         states[i + 1] = y
-        iterations[i] = ws.iterations
         if nu:
-            alphas[i] = ws.alpha
-        fallbacks[i] = ws.gamma_fallback_used
+            alphas[i] = alpha
 
     times = h * np.arange(n_steps + 1)
     h_vals = problem.hamiltonian(states)

@@ -2,7 +2,15 @@
 
 States are flat arrays y = (q, p) of length 2m with the canonical structure
 matrix J = [[0, I_m], [-I_m, 0]].  All callables are vectorized over leading
-axes: they accept shape (..., 2m) and return values with matching batch shape.
+axes: they accept shape (..., 2m) in any memory layout and return float64
+values with matching batch shape.  The steppers pass column-major stage
+arrays, whose columns y[..., i] are contiguous.
+
+The gradients come back C-ordered whatever the input's layout.  The steppers
+project them with PTB @ grad, and NumPy hands BLAS a Fortran-ordered operand
+as a transposed one, whose kernel may group the k-term sums differently
+(NumPy 2.4 with OpenBLAS 0.3.31 on x86-64 does from k = 16 on): the layout
+of a gradient array is part of the last bits of a step.
 """
 
 from __future__ import annotations
@@ -58,14 +66,18 @@ class InvariantSet:
 
 
 def _kepler_h(y: np.ndarray) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
     q, p = y[..., :2], y[..., 2:]
     return 0.5 * np.sum(p * p, axis=-1) - 1.0 / np.sqrt(np.sum(q * q, axis=-1))
 
 
 def _kepler_grad_h(y: np.ndarray) -> np.ndarray:
+    # a C-ordered float64 copy of y (module docstring), its q half then
+    # overwritten with q / |q|^3 computed from the columns of y
+    out = np.array(y, dtype=float, order="C")
     q = y[..., :2]
-    r3 = (q * q).sum(-1, keepdims=True) ** 1.5
-    return np.concatenate((q / r3, y[..., 2:]), axis=-1)
+    np.divide(q, (q * q).sum(-1, keepdims=True) ** 1.5, out[..., :2])
+    return out
 
 
 def kepler_problem(eccentricity: float) -> HamiltonianProblem:
@@ -89,6 +101,7 @@ def kepler_problem(eccentricity: float) -> HamiltonianProblem:
 
 
 def _angular_momentum(y: np.ndarray) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
     q1, q2, p1, p2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
     return q1 * p2 - q2 * p1
 
@@ -100,12 +113,15 @@ _L_SIGNS.flags.writeable = False
 
 def _grad_angular_momentum(y: np.ndarray, out=None) -> np.ndarray:
     # out, when given, is a (..., 4) array (or view) the gradient is written into
+    if out is None:
+        out = np.empty(y.shape)
     return np.multiply(y[..., ::-1], _L_SIGNS, out=out)
 
 
 def _lrl_scalar(y: np.ndarray) -> np.ndarray:
     # second component of the Laplace-Runge-Lenz vector, sign chosen so the
     # attractive potential conserves it
+    y = np.asarray(y, dtype=float)
     q1, q2, p1 = y[..., 0], y[..., 1], y[..., 2]
     r = np.sqrt(q1 * q1 + q2 * q2)
     return p1 * _angular_momentum(y) + q2 / r
@@ -169,11 +185,14 @@ def polynomial_oscillator(degree: int) -> HamiltonianProblem:
         raise ValueError(f"degree must be one of 2, 4, 6, 8, got {degree}")
     d = int(degree)
 
+    # in float64 whatever y's dtype: q**d of an integer q would wrap
     def ham(y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
         q, p = y[..., 0], y[..., 1]
         return 0.5 * p * p + q**d / d
 
     def grad(y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
         q, p = y[..., 0], y[..., 1]
         return np.stack([q ** (d - 1), p], axis=-1)
 

@@ -10,6 +10,7 @@ from linteg.integrators import (
     _MAX_SWEEPS,
     _max_steps,
     _solve_scaling,
+    _structure_transpose,
     elim_step,
     hbvm_step,
     integrate,
@@ -340,12 +341,24 @@ def _reference_elim_step(problem, invariants, config, y0, h):
     raise AssertionError("reference sweep did not converge")
 
 
-@pytest.mark.parametrize("nu, r", [(1, 12), (2, 12), (1, 8), (2, 8)])
-def test_elim_step_matches_reference_sweep(nu, r):
+# (nu, r, s, k): r != k stacks the invariant nodes under the Hamiltonian ones
+@pytest.mark.parametrize(
+    "nu, r, s, k",
+    [
+        (1, 12, 3, 12), (2, 12, 3, 12), (1, 8, 3, 12), (2, 8, 3, 12),
+        (1, 16, 3, 12), (2, 16, 3, 12), (1, 12, 8, 12), (2, 12, 8, 12),
+        (1, 16, 3, 16), (2, 16, 3, 16),
+    ],
+    ids=[
+        "1-12", "2-12", "1-8", "2-8", "1-16", "2-16",
+        "1-12-s8", "2-12-s8", "1-16-k16", "2-16-k16",
+    ],
+)
+def test_elim_step_matches_reference_sweep(nu, r, s, k):
     prob = kepler_problem(0.6)
     which = "angular_momentum_only" if nu == 1 else "angular_momentum_and_lrl"
     inv = kepler_invariants(which)
-    config = MethodConfig(s=3, k=12, r=r)
+    config = MethodConfig(s=s, k=k, r=r)
     y1, ws = elim_step(prob, inv, config, prob.initial_state, 0.1)
     y1_ref, sweeps = _reference_elim_step(prob, inv, config, prob.initial_state, 0.1)
     assert ws.iterations == sweeps
@@ -378,18 +391,25 @@ def _reference_hbvm_step(problem, config, y0, h):
         (kepler_problem(0.6), 3, 3, None),
         (kepler_problem(0.6), 3, 6, None),
         (kepler_problem(0.6), 3, 12, None),
+        (kepler_problem(0.6), 8, 12, None),
+        (kepler_problem(0.6), 3, 16, None),
         (polynomial_oscillator(4), 2, 4, None),
         # from q = 5 the stage values run far past max|y0| within a step,
         # which tests the sweep's running bound on max|U|
         (polynomial_oscillator(4), 2, 4, (5.0, 0.0)),
     ],
-    ids=["gauss3", "hbvm6_3", "hbvm12_3", "oscillator4_hbvm4_2", "oscillator4_from_q5"],
+    ids=[
+        "gauss3", "hbvm6_3", "hbvm12_3", "hbvm12_8", "hbvm16_3",
+        "oscillator4_hbvm4_2", "oscillator4_from_q5",
+    ],
 )
 def test_hbvm_step_matches_reference_sweep(problem, s, k, start):
     # the shared sweep does the reference's floating-point operations in the
     # same order and takes the same convergence decisions, so every step and
     # its sweep count agree bit for bit; one step alone often hides a
-    # reordered product, so 40 are compared
+    # reordered product, so 40 are compared.  The reference's stage arrays
+    # are C-ordered and it applies J before projecting; the stepper's are
+    # column-major and it applies J after.
     config = MethodConfig(s=s, k=k)
     y = problem.initial_state if start is None else np.array(start)
     for _ in range(40):
@@ -505,10 +525,29 @@ def test_config_validation():
         MethodConfig(s=2, k=6, r=6).validate(nu=2)  # needs s > nu
     with pytest.raises(ConfigError):
         MethodConfig(s=3, k=6, r=2).validate(nu=1)  # r >= s
-    for tol in (0.0, np.inf, np.nan):
-        with pytest.raises(ConfigError):
+    for tol in (0.0, np.inf, np.nan, "1e-14", True):
+        with pytest.raises(ConfigError, match="^fp_tolerance"):
             MethodConfig(s=2, k=4, fp_tolerance=tol).validate(nu=0)
     MethodConfig(s=3, k=6, r=8).validate(nu=2)
+    # node counts are integers: floats, even whole ones, and bools are
+    # rejected by name before any array is built
+    prob = kepler_problem(0.6)
+    bad = [
+        ("k", MethodConfig(3, 12.5)), ("s", MethodConfig(3.0, 12)),
+        ("s", MethodConfig(True, 12)), ("k", MethodConfig(3, np.float64(12.0))),
+    ]
+    for name, config in bad:
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            integrate(prob, None, config, 0.1, 3)
+    with pytest.raises(ConfigError, match="^r must be an integer"):
+        integrate(prob, inv, MethodConfig(3, 12, 12.0), 0.1, 3)
+    with pytest.raises(ConfigError, match="^n_steps must be an integer"):
+        integrate(prob, None, MethodConfig(3, 12), 0.1, 3.0)
+    # NumPy integers are integers
+    numpy_ints = MethodConfig(np.int64(3), np.int32(12), np.int64(12))
+    a = integrate(prob, inv, numpy_ints, 0.1, np.int64(3))
+    b = integrate(prob, inv, MethodConfig(3, 12, 12), 0.1, 3)
+    np.testing.assert_array_equal(a.states, b.states)
 
 
 def test_step_rejects_bad_inputs():
@@ -544,3 +583,40 @@ def test_resolved_r_defaults_to_k():
     config = MethodConfig(s=3, k=12)
     assert config.resolved_r() == 12
     assert MethodConfig(s=3, k=12, r=14).resolved_r() == 14
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [kepler_problem(0.6), polynomial_oscillator(6),
+     _random_quadratic_problem(np.random.default_rng(5))],
+    ids=["kepler", "oscillator6", "quadratic"],
+)
+def test_projection_then_structure_equals_projected_vector_field(problem):
+    # the stepper applies J, a signed permutation, to the s projected rows
+    # as a product with J^T (np.dot, like its other products): for finite
+    # gradients every term but one is a zero, so the result is
+    # PTB @ (J grad H) bit for bit
+    JT = _structure_transpose(problem.m)
+    assert not JT.flags.writeable
+    rng = np.random.default_rng(29)
+    for k, s in ((4, 2), (12, 3), (12, 8), (16, 3)):
+        PTB = build_hbvm_tableau(k, s).PTB
+        for _ in range(10):
+            U = problem.initial_state + 0.3 * rng.standard_normal((k, problem.dim))
+            for stage in (U, np.asfortranarray(U)):
+                got = np.dot(np.dot(PTB, problem.grad_h(stage)), JT)
+                assert got.tobytes() == (PTB @ problem.vector_field(stage)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "invariants, r, lookups",
+    [(None, None, 1), ("angular_momentum_only", 12, 1), ("angular_momentum_and_lrl", 8, 2)],
+    ids=["hbvm", "elim_r_eq_k", "elim_stacked"],
+)
+def test_integrate_looks_up_each_operator_set_once(invariants, r, lookups):
+    # the per-run work is done once per integrate call, not once per step
+    inv = kepler_invariants(invariants) if invariants else None
+    before = build_hbvm_tableau.cache_info()
+    integrate(kepler_problem(0.6), inv, MethodConfig(s=3, k=12, r=r), 0.1, 50)
+    after = build_hbvm_tableau.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == lookups

@@ -228,3 +228,59 @@ def test_polynomial_oscillator_validation():
         polynomial_oscillator(3)
     with pytest.raises(ValueError):
         polynomial_oscillator(0)
+
+
+def _shipped_problems():
+    return [kepler_problem(0.6)] + [polynomial_oscillator(d) for d in (2, 4, 6, 8)]
+
+
+def _shipped_invariants():
+    return [kepler_invariants("angular_momentum_only"), kepler_invariants("angular_momentum_and_lrl")]
+
+
+def test_gradients_do_not_depend_on_input_layout():
+    # the stepper passes column-major stage arrays, stacked ones sliced into
+    # their k-node and r-node rows; each gradient must give the bits of a
+    # C-ordered input and come back C-ordered, which fixes how the
+    # stepper's PTB @ grad sums (module docstring)
+    rng = np.random.default_rng(31)
+    for prob in _shipped_problems():
+        callables = [prob.grad_h]
+        if prob.m == 2:
+            callables += [inv.gradients for inv in _shipped_invariants()]
+        stacked = _random_states(rng, 28)[:, : prob.dim]
+        F = np.asfortranarray(stacked)
+        # every entry 16 bytes from the next: strided in both axes
+        interleaved = np.stack([stacked, -stacked], axis=-1)[..., 0]
+        for fn in callables:
+            expected = fn(stacked[-16:])
+            assert expected.flags.c_contiguous
+            for y in (F[-16:], np.asfortranarray(stacked[-16:]), interleaved[-16:]):
+                got = fn(y)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == expected.tobytes()
+            # rows of a strided stack: every other row, and the first 8 of the F array
+            assert fn(F[-16::2]).tobytes() == fn(stacked[-16::2]).tobytes()
+            assert fn(F[-8:]).tobytes() == fn(stacked[-8:]).tobytes()
+            assert fn(F[:12]).tobytes() == fn(stacked[:12]).tobytes()
+
+
+def test_callables_return_float64_for_integer_states():
+    # an integer state is evaluated in float64: the oscillators' q**degree
+    # must not wrap around in int64
+    kepler_state = np.array([[3, -4, 2, 5], [1, 2, -7, 1]])
+    oscillator_state = np.array([[1000, 0], [-3, 7]])
+    for prob in _shipped_problems():
+        y = kepler_state if prob.m == 2 else oscillator_state
+        callables = [prob.hamiltonian, prob.grad_h, prob.vector_field]
+        if prob.m == 2:
+            for inv in _shipped_invariants():
+                callables += [inv.values, inv.gradients]
+        for fn in callables:
+            for state in (y, y[0]):
+                got = fn(state)
+                expected = fn(state.astype(float))
+                assert got.dtype == np.float64
+                assert got.tobytes() == expected.tobytes()
+    assert polynomial_oscillator(8).grad_h(np.array([1000, 0]))[0] == 1e21
+    assert polynomial_oscillator(8).hamiltonian(np.array([1000, 0])) == 1.25e23
