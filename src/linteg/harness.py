@@ -43,7 +43,6 @@ _INVARIANTS = {
     "L1": (1, "angular_momentum_only"),
     "L1L2": (2, "angular_momentum_and_lrl"),
 }
-_DEFAULT_TOL = 1e-14
 
 _PI_PATTERN = re.compile(
     r"^\s*(?P<num>[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)?\s*\*?\s*pi\s*"
@@ -94,19 +93,18 @@ class ExperimentSpec:
     invariants: str = "none"
     step_sizes: tuple = ()
     horizon: float = 0.0
-    tol: float = _DEFAULT_TOL
+    tol: float = MethodConfig.fp_tolerance
     out: Optional[str] = None
 
     def resolved_k(self) -> int:
-        if self.method == "gauss":
-            return self.s
-        return self.k if self.k is not None else self.s
+        # validate holds gauss to k = s
+        return self.s if self.k is None else self.k
 
     def nu(self) -> int:
         return _INVARIANTS[self.invariants][0]
 
     def validate(self) -> None:
-        if self.experiment not in (*_RUNNERS, "tableau"):
+        if self.experiment not in _RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
@@ -175,13 +173,6 @@ class ExperimentSpec:
         return kepler_invariants(selection) if selection else None
 
 
-def _monitored_invariants(spec: ExperimentSpec):
-    """Invariant set reported in drift output, independent of what is imposed."""
-    if spec.problem == "kepler":
-        return kepler_invariants("angular_momentum_and_lrl"), ("L1", "L2")
-    return None, ()
-
-
 def _write_csv(path: Path, header: list, rows: list) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -216,26 +207,30 @@ def _run_convergence(spec: ExperimentSpec, out: Path) -> None:
     _write_csv(out, ["h", "n_steps", "error", "order", "iteration_total"], rows)
 
 
+def _alpha_names(nu: int) -> list:
+    return [f"alpha_{v + 1}" for v in range(nu)]
+
+
+def _alpha_rows(traj) -> list:
+    """Step number, time and scaling components of each step, as CSV cells."""
+    return [
+        [str(i + 1), _fmt(traj.times[i + 1])] + [_fmt(a) for a in traj.alpha[i]]
+        for i in range(traj.alpha.shape[0])
+    ]
+
+
 def _run_alpha_norm(spec: ExperimentSpec, out: Path) -> None:
-    nu = spec.nu()
     rows = []
     maxima = []
     for h, n, traj in _runs(spec, spec.build_problem()):
         amax = float(np.max(np.abs(traj.alpha)))
         maxima.append(amax)
-        for i in range(n):
-            rows.append(
-                [_fmt(h), str(i + 1), _fmt(traj.times[i + 1])]
-                + [_fmt(traj.alpha[i, v]) for v in range(nu)]
-                + [_fmt(np.max(np.abs(traj.alpha[i])))]
-            )
+        for row, alpha in zip(_alpha_rows(traj), traj.alpha):
+            rows.append([_fmt(h)] + row + [_fmt(np.max(np.abs(alpha)))])
         print(f"h={_fmt(h)}  n={n}  max|alpha|={_fmt(amax)}")
     if len(maxima) >= 2:
         print("alpha orders:", " ".join(map(_order, maxima, maxima[1:])))
-    header = (
-        ["h", "n", "t"] + [f"alpha_{v + 1}" for v in range(nu)] + ["alpha_inf"]
-    )
-    _write_csv(out, header, rows)
+    _write_csv(out, ["h", "n", "t"] + _alpha_names(spec.nu()) + ["alpha_inf"], rows)
 
 
 def _run_iterations(spec: ExperimentSpec, out: Path) -> None:
@@ -251,23 +246,24 @@ def _run_iterations(spec: ExperimentSpec, out: Path) -> None:
 def _run_drift(spec: ExperimentSpec, out: Path) -> None:
     problem = spec.build_problem()
     [(h, n, traj)] = _runs(spec, problem)
-    monitored, labels = _monitored_invariants(spec)
+    # every invariant the problem defines is reported, whatever is imposed
+    kepler = spec.problem == "kepler"
+    labels = ("L1", "L2") if kepler else ()
+    monitored = kepler_invariants("angular_momentum_and_lrl") if kepler else None
     report = drift_report(traj, problem, monitored)
     nu = spec.nu()
     header = (
-        ["n", "t", "h_error"]
-        + [f"err_{lab}" for lab in labels]
-        + [f"alpha_{v + 1}" for v in range(nu)]
+        ["n", "t", "h_error"] + [f"err_{lab}" for lab in labels] + _alpha_names(nu)
         + ["iterations", "fallback"]
     )
     rows = []
     for i in range(n + 1):
         row = [str(i), _fmt(traj.times[i]), _fmt(report.h_error[i])]
-        row += [_fmt(report.invariant_error[i, v]) for v in range(len(labels))]
+        row += [_fmt(e) for e in report.invariant_error[i]]
         if i == 0:
             row += [""] * nu + ["", ""]
         else:
-            row += [_fmt(traj.alpha[i - 1, v]) for v in range(nu)]
+            row += [_fmt(a) for a in traj.alpha[i - 1]]
             row += [str(int(traj.iterations[i - 1])), str(int(traj.fallback[i - 1]))]
         rows.append(row)
     _write_csv(out, header, rows)
@@ -298,35 +294,41 @@ _RUNNERS = {
     "alpha-norm": _run_alpha_norm,
     "iterations": _run_iterations,
     "drift": _run_drift,
+    "tableau": _run_tableau,
 }
 
 
 def run_experiment(spec: ExperimentSpec) -> None:
     """Validate and execute one experiment, writing its output file."""
     spec.validate()
-    out = Path(spec.out) if spec.out is not None else None
-    if spec.experiment == "tableau":
-        _run_tableau(spec, out)
-        return
-    if out is None:
+    if spec.out is None and spec.experiment != "tableau":
         raise ConfigError("this experiment writes CSV; pass --out")
-    _RUNNERS[spec.experiment](spec, out)
+    _RUNNERS[spec.experiment](spec, None if spec.out is None else Path(spec.out))
 
 
 # ---------------------------------------------------------------------------
 # full benchmark reproduction
 
-_BENCHMARK_METHODS = {
-    "gauss3": ExperimentSpec("convergence", method="gauss", s=3),
-    "hbvm_12_3": ExperimentSpec("convergence", method="hbvm", s=3, k=12),
-    "ehbvm_12_3_L1": ExperimentSpec(
-        "convergence", method="elim", s=3, k=12, r=12, invariants="L1"
-    ),
-    "ehbvm_12_3_L1L2": ExperimentSpec(
-        "convergence", method="elim", s=3, k=12, r=12, invariants="L1L2"
-    ),
+# the published parameter set, written out as parameters.json: the
+# eccentricity 0.6 orbit over ten periods at five halving steps, then 10^4
+# drift steps at h = 0.1, for four methods given as ExperimentSpec fields;
+# --tol replaces both tolerances
+_PAPER = {
+    "problem": "kepler",
+    "eccentricity": 0.6,
+    "horizon": 20.0 * math.pi,
+    "step_sizes": tuple(math.pi / d for d in (30, 60, 120, 240, 480)),
+    "drift_step_size": 0.1,
+    "drift_horizon": 1000.0,
+    "fp_tolerance": MethodConfig.fp_tolerance,
+    "fp_tolerance_convergence": 1e-15,
+    "methods": {
+        "gauss3": dict(method="gauss", s=3, k=None, r=None, invariants="none"),
+        "hbvm_12_3": dict(method="hbvm", s=3, k=12, r=None, invariants="none"),
+        "ehbvm_12_3_L1": dict(method="elim", s=3, k=12, r=12, invariants="L1"),
+        "ehbvm_12_3_L1L2": dict(method="elim", s=3, k=12, r=12, invariants="L1L2"),
+    },
 }
-_BENCHMARK_DENOMS = (30, 60, 120, 240, 480)
 
 
 def _write_order_table(path, steps, labels, values, value_name, order_name):
@@ -347,95 +349,71 @@ def _write_order_table(path, steps, labels, values, value_name, order_name):
 
 def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
     """Convergence, iteration, scaling-norm and drift benchmarks at the
-    published parameters: the eccentricity 0.6 orbit over ten periods for
-    five halving steps, then 10^4 drift steps at h = 0.1.
+    published parameters (_PAPER).
 
     The convergence table runs at a tighter fixed-point tolerance than the
     rest: at the finest steps the order-2s error term sits near 1e-12 and
-    would otherwise drown in solver noise.  An explicit --tol overrides
-    both."""
-    problem = kepler_problem(0.6)
-    horizon = 20.0 * math.pi
-    steps = tuple(math.pi / d for d in _BENCHMARK_DENOMS)
-    y_ref = reference_solution(problem, min(steps) / 2.0, horizon)
-    conv_tol = tol if tol is not None else 1e-15
-    base_tol = tol if tol is not None else _DEFAULT_TOL
+    would otherwise drown in solver noise."""
+    paper = dict(_PAPER)
+    if tol is not None:
+        paper.update(fp_tolerance=tol, fp_tolerance_convergence=tol)
+    conv_tol, base_tol = paper["fp_tolerance_convergence"], paper["fp_tolerance"]
+    steps = paper["step_sizes"]
     specs = {
-        label: replace(spec, step_sizes=steps, horizon=horizon, tol=base_tol)
-        for label, spec in _BENCHMARK_METHODS.items()
+        label: ExperimentSpec(
+            "convergence", problem=paper["problem"], eccentricity=paper["eccentricity"],
+            step_sizes=steps, horizon=paper["horizon"], tol=base_tol, **fields,
+        )
+        for label, fields in paper["methods"].items()
     }
+    labels = list(specs)
     for spec in specs.values():
         spec.validate()
+    problem = specs[labels[0]].build_problem()
+    y_ref = reference_solution(problem, min(steps) / 2.0, paper["horizon"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # every distinct (label, tolerance, h) is integrated once; the tables read this store
+    runs = {}
     errors = {}
-    iters = {}
-    alpha_max = {}
-    alpha_series = {}
     for label, spec in specs.items():
-        # one integration per distinct tolerance; with --tol both tables share it
-        conv_runs = _runs(replace(spec, tol=conv_tol), problem)
-        if conv_tol == base_tol:
-            pairs = ((run, run) for run in conv_runs)
-        else:
-            pairs = zip(conv_runs, _runs(spec, problem))
-        for (h, _, traj), (_, _, base) in pairs:
-            errors[label, h] = max_norm_error(traj.states[-1], y_ref)
-            iters[label, h] = base.iteration_total
-            if spec.nu():
-                alpha_max[label, h] = float(np.max(np.abs(base.alpha)))
-                alpha_series[label, h] = base
+        for h, n in spec.step_counts():
+            for t in dict.fromkeys((conv_tol, base_tol)):
+                config = replace(spec, tol=t).method_config()
+                runs[label, t, h] = integrate(problem, spec.build_invariants(), config, h, n)
+            errors[label, h] = max_norm_error(runs[label, conv_tol, h].states[-1], y_ref)
             print(
                 f"{label}  h=pi/{round(math.pi / h)}  error={_fmt(errors[label, h])}  "
-                f"iterations={iters[label, h]}"
+                f"iterations={runs[label, base_tol, h].iteration_total}"
             )
 
-    labels = list(specs)
     _write_order_table(out_dir / "convergence.csv", steps, labels, errors, "error", "order")
-
     iter_rows = [
-        [_fmt(h)] + [str(iters[label, h]) for label in labels] for h in steps
+        [_fmt(h)] + [str(runs[label, base_tol, h].iteration_total) for label in labels]
+        for h in steps
     ]
     _write_csv(out_dir / "iterations.csv", ["h"] + labels, iter_rows)
 
     elim_labels = [label for label, spec in specs.items() if spec.nu()]
+    alpha_max = {
+        (label, h): float(np.max(np.abs(runs[label, base_tol, h].alpha)))
+        for label in elim_labels for h in steps
+    }
     _write_order_table(
         out_dir / "alpha_norms.csv", steps, elim_labels, alpha_max, "alpha_max", "alpha_order"
     )
-
-    # per-step scaling components for the two-invariant method at h = pi/30
-    traj = alpha_series["ehbvm_12_3_L1L2", steps[0]]
-    rows = [
-        [str(i + 1), _fmt(traj.times[i + 1]), _fmt(traj.alpha[i, 0]), _fmt(traj.alpha[i, 1])]
-        for i in range(traj.alpha.shape[0])
-    ]
-    _write_csv(
-        out_dir / "alpha_components.csv", ["n", "t", "alpha_1", "alpha_2"], rows
-    )
+    # per-step scaling components of the last (most constrained) method at the largest step
+    traj = runs[elim_labels[-1], base_tol, steps[0]]
+    header = ["n", "t"] + _alpha_names(traj.alpha.shape[1])
+    _write_csv(out_dir / "alpha_components.csv", header, _alpha_rows(traj))
 
     for label, spec in specs.items():
         print(f"drift {label}:")
         run_experiment(replace(
-            spec, experiment="drift", step_sizes=(0.1,), horizon=1000.0,
-            out=str(out_dir / f"drift_{label}.csv"),
+            spec, experiment="drift", step_sizes=(paper["drift_step_size"],),
+            horizon=paper["drift_horizon"], out=str(out_dir / f"drift_{label}.csv"),
         ))
-
-    meta = {
-        "problem": "kepler",
-        "eccentricity": 0.6,
-        "horizon": horizon,
-        "step_sizes": steps,
-        "drift_step_size": 0.1,
-        "drift_horizon": 1000.0,
-        "fp_tolerance": base_tol,
-        "fp_tolerance_convergence": conv_tol,
-        "methods": {
-            label: {"method": spec.method, "s": spec.s, "k": spec.k, "r": spec.r,
-                    "invariants": spec.invariants}
-            for label, spec in specs.items()
-        },
-    }
-    (out_dir / "parameters.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (out_dir / "parameters.json").write_text(json.dumps(paper, indent=2) + "\n")
     print(f"wrote {out_dir}/")
 
 

@@ -63,8 +63,8 @@ def build_hbvm_tableau(k: int, s: int) -> TableauMatrices:
     P = legendre_table(s - 1, c).T
     I = integral_table(s - 1, c).T
     PTB = P.T * b
-    # the stepper's eta-scaled product (I * eta) @ PTB at eta = 1, bit for bit
-    A = (I * np.ones(s)) @ PTB
+    # the steppers never form A: they apply I diag(eta) to the projections PTB f
+    A = I @ PTB
     for arr in (P, I, PTB, A):
         arr.flags.writeable = False
     return TableauMatrices(s=s, k=k, c=c, b=b, P=P, I=I, PTB=PTB, A=A)

@@ -1,11 +1,19 @@
 """Command-line interface: parsing, validation, output files."""
 
+import collections
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import linteg
 from linteg import harness
 from linteg.harness import ExperimentSpec, main, parse_step_size
 from linteg.integrators import ConfigError
@@ -50,6 +58,9 @@ def test_spec_validation_rejects_bad_combinations():
     with pytest.raises(ConfigError):
         ExperimentSpec(experiment="drift", problem="pendulum", method="hbvm",
                        s=2, step_sizes=(0.1,), horizon=10.0).validate()
+    # reproduce-paper is a subcommand, not an experiment a spec can name
+    with pytest.raises(ConfigError, match="unknown experiment 'reproduce-paper'"):
+        replace(good, experiment="reproduce-paper").validate()
 
 
 def test_tableau_subcommand_writes_schema(tmp_path):
@@ -64,9 +75,18 @@ def test_tableau_subcommand_writes_schema(tmp_path):
 
 def test_tableau_subcommand_stdout(capsys):
     assert main(["tableau", "-s", "1"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    stdout = capsys.readouterr().out
+    payload = json.loads(stdout)
     assert payload["s"] == 1 and payload["k"] == 1
     assert payload["A"] == [[0.5]]
+    # python -m linteg is the same entry point
+    src = str(Path(linteg.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-m", "linteg", "tableau", "-s", "1"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, stdout, "")
 
 
 def test_convergence_subcommand(tmp_path):
@@ -84,9 +104,16 @@ def test_convergence_subcommand(tmp_path):
     second = lines[2].split(",")
     # fourth order at these steps
     assert 3.0 < float(second[3]) < 4.6
+    # an oscillator has no closed-form reference; it is integrated at order 12
+    code = main([
+        "convergence", "--problem", "oscillator4", "--method", "hbvm", "-s", "2", "-k", "4",
+        "--steps", "0.25,0.125", "--horizon", "2", "--out", str(out),
+    ])
+    assert code == 0
+    assert 3.5 < float(out.read_text().splitlines()[2].split(",")[3]) < 4.5
 
 
-def test_drift_subcommand_and_monitoring(tmp_path):
+def test_drift_subcommand_and_monitoring(tmp_path, capsys):
     out = tmp_path / "drift.csv"
     code = main([
         "drift", "--method", "hbvm", "-s", "2", "-k", "6",
@@ -99,6 +126,18 @@ def test_drift_subcommand_and_monitoring(tmp_path):
     assert len(lines) == 52
     row0 = lines[1].split(",")
     assert row0[0] == "0" and row0[2] == "0"
+    # an oscillator defines no invariant beyond H, so none is reported
+    capsys.readouterr()
+    code = main([
+        "drift", "--problem", "oscillator4", "--method", "hbvm", "-s", "2", "-k", "4",
+        "--steps", "0.1", "--horizon", "1", "--out", str(out),
+    ])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "n,t,h_error,iterations,fallback"
+    assert len(lines) == 12
+    [summary] = capsys.readouterr().out.splitlines()
+    assert summary.startswith("h=0.1  n=10  max|H err|=")
 
 
 def test_alpha_norm_subcommand(tmp_path):
@@ -141,7 +180,7 @@ def test_determinism_byte_identical(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_validation_fails_before_writing(tmp_path, capsys):
+def test_validation_fails_before_writing(tmp_path, capsys, monkeypatch):
     out = tmp_path / "never.csv"
     code = main([
         "convergence", "--method", "elim", "-s", "3", "-k", "6",
@@ -165,10 +204,26 @@ def test_validation_fails_before_writing(tmp_path, capsys):
         ])
         assert code == 2
         assert not out.exists()
+    # so are an unbound orbit and invariants on a problem that does not define them
+    for flags in (["--eccentricity", "1"], ["--problem", "oscillator4", "--invariants", "L1"]):
+        code = main([
+            "convergence", "--method", "elim", "-s", "3", "-k", "6", "--invariants", "L1L2",
+            "--steps", "pi/8", "--horizon", "2pi", "--out", str(out), *flags,
+        ])
+        assert code == 2
+        assert not out.exists()
+    # and a CSV experiment without --out
+    monkeypatch.chdir(tmp_path)
+    no_out = ["iterations", "--method", "gauss", "-s", "2", "--steps", "pi/8", "--horizon", "2pi"]
+    assert main(no_out) == 2
+    assert list(tmp_path.iterdir()) == []
     # nothing was integrated, so no run was reported
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "horizon 1.0 / step size 1e-300" in captured.err
+    for message in ("eccentricity must lie in [0, 1), got 1.0",
+                    "invariant selections are defined for the kepler problem", "pass --out"):
+        assert message in captured.err
 
 
 def test_nonconvergence_exit_code(tmp_path):
@@ -213,6 +268,11 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ({**valid, "s": "abc"}, "'s'"),
         ({**valid, "s": 3.7}, "'s'"),
         ([1, 2], "JSON object"),
+        # values the flags' choices would refuse are refused from a file too
+        ({**valid, "method": "rk4"}, "unknown method 'rk4'"),
+        ({**valid, "method": "elim", "invariants": "L3"}, "unknown invariant selection 'L3'"),
+        ({**valid, "problem": "pendulum"}, "unknown problem 'pendulum'"),
+        ({**valid, "steps": []}, "need at least one step size"),
     )
     capsys.readouterr()
     for payload, message in cases:
@@ -333,3 +393,86 @@ def test_csv_floats_carry_16_significant_digits(tmp_path):
     # 16 significant digits: within one last-place unit of the exact value
     assert float(h_text) == pytest.approx(math.pi / 8, rel=1e-15, abs=0)
     assert len(h_text.replace(".", "").lstrip("0")) == 16
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _small_paper(monkeypatch):
+    # the published set on a small run: two steps over one period, drift to t = 1
+    monkeypatch.setitem(harness._PAPER, "step_sizes", (math.pi / 8, math.pi / 16))
+    monkeypatch.setitem(harness._PAPER, "horizon", 2 * math.pi)
+    monkeypatch.setitem(harness._PAPER, "drift_horizon", 1.0)
+
+
+def test_reproduce_paper_tables_match_the_subcommands(tmp_path, monkeypatch, capsys):
+    _small_paper(monkeypatch)
+    out = tmp_path / "paper"
+    assert main(["reproduce-paper", "--out-dir", str(out)]) == 0
+    methods = harness._PAPER["methods"]
+    assert sorted(path.name for path in out.iterdir()) == sorted(
+        ["alpha_components.csv", "alpha_norms.csv", "convergence.csv", "iterations.csv",
+         "parameters.json"] + [f"drift_{label}.csv" for label in methods]
+    )
+    params = json.loads((out / "parameters.json").read_text())
+    assert params["step_sizes"] == [math.pi / 8, math.pi / 16]
+    assert params["fp_tolerance"] == 1e-14 and params["fp_tolerance_convergence"] == 1e-15
+    convergence = _read_csv(out / "convergence.csv")
+    iterations = _read_csv(out / "iterations.csv")
+    alpha_norms = _read_csv(out / "alpha_norms.csv")
+    components = _read_csv(out / "alpha_components.csv")
+    tables = (convergence, iterations, alpha_norms, components)
+    assert [len(table) for table in tables] == [2, 2, 2, 16]
+    capsys.readouterr()
+
+    # each cell is the one the experiment subcommand writes for the same method
+    run = ["--steps", "pi/8,pi/16", "--horizon", "2pi"]
+    for label, fields in methods.items():
+        flags = ["--method", fields["method"], "-s", str(fields["s"]),
+                 "--invariants", fields["invariants"]]
+        for key in ("k", "r"):
+            if fields[key] is not None:
+                flags += [f"-{key}", str(fields[key])]
+        single = tmp_path / f"{label}.csv"
+        assert main(["convergence", *flags, *run, "--tol", "1e-15", "--out", str(single)]) == 0
+        for wide, row in zip(convergence, _read_csv(single)):
+            assert (wide[f"error_{label}"], wide[f"order_{label}"]) == (row["error"], row["order"])
+        assert main(["iterations", *flags, *run, "--out", str(single)]) == 0
+        for wide, row in zip(iterations, _read_csv(single)):
+            assert wide[label] == row["iteration_total"]
+        drift = ["drift", *flags, "--steps", "0.1", "--horizon", "1", "--out", str(single)]
+        assert main(drift) == 0
+        assert (out / f"drift_{label}.csv").read_bytes() == single.read_bytes()
+        if fields["invariants"] == "none":
+            continue
+        capsys.readouterr()
+        assert main(["alpha-norm", *flags, *run, "--out", str(single)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        maxima = [line.split("max|alpha|=")[1] for line in lines[:2]]
+        assert [row[f"alpha_max_{label}"] for row in alpha_norms] == maxima
+        assert [row[f"alpha_order_{label}"] for row in alpha_norms] == ["", lines[2].split(": ")[1]]
+        if label == list(methods)[-1]:
+            first = [row for row in _read_csv(single) if row["h"] == iterations[0]["h"]]
+            assert components == [{key: row[key] for key in components[0]} for row in first]
+
+
+def test_reproduce_paper_integrates_each_run_once(tmp_path, monkeypatch):
+    _small_paper(monkeypatch)
+    calls = collections.Counter()
+    integrate = harness.integrate
+
+    def counted(problem, invariants, config, h, n_steps):
+        calls[config, 0 if invariants is None else invariants.nu, h] += 1
+        return integrate(problem, invariants, config, h, n_steps)
+
+    monkeypatch.setattr(harness, "integrate", counted)
+    # two tolerances: each method runs each step twice, then drifts once
+    assert main(["reproduce-paper", "--out-dir", str(tmp_path / "a")]) == 0
+    assert len(calls) == 4 * 2 * 2 + 4 and set(calls.values()) == {1}
+    # one tolerance: the convergence and iteration tables share each run
+    calls.clear()
+    assert main(["reproduce-paper", "--out-dir", str(tmp_path / "b"), "--tol", "1e-13"]) == 0
+    assert len(calls) == 4 * 2 + 4 and set(calls.values()) == {1}
+    assert {config.fp_tolerance for config, _, _ in calls} == {1e-13}

@@ -309,8 +309,18 @@ def test_solve_scaling_matches_lu_reference():
     assert kept[0] == 0.25 + 1e-13
     # nu = 3 still takes the LU path: the same values bit for bit
     Gamma = rng.uniform(-1.0, 1.0, (3, 3)) + 2.0 * np.eye(3)
-    alpha, ref = _assert_same_decision(Gamma, [0.1, -0.2, 0.3], [1e-4, 0.01, 1.0])
+    w3 = [1e-4, 0.01, 1.0]
+    alpha, ref = _assert_same_decision(Gamma, [0.1, -0.2, 0.3], w3)
     np.testing.assert_array_equal(alpha, ref)
+    # and its other returns: a condition number above the bound and a
+    # |w alpha| > 1 fall back, a refresh within the noise floor keeps alpha_old
+    rejected = ((np.diag([1.0, 1.0, 1e-10]), [0.0, 0.0, 1e-10]), (Gamma, Gamma @ [0.0, 0.0, 2.0]))
+    for bad_Gamma, rhs in rejected:
+        alpha, _ = _assert_same_decision(bad_Gamma, rhs, w3)
+        np.testing.assert_array_equal(alpha, 0.0)
+    old = ref + np.array([0.0, 1e-12, 0.0])
+    kept, _ = _assert_same_decision(Gamma, [0.1, -0.2, 0.3], w3, old, rhs_noise=1e-10)
+    np.testing.assert_array_equal(kept, old)
 
 
 def _reference_elim_step(problem, invariants, config, y0, h):
@@ -567,7 +577,10 @@ def test_step_rejects_bad_inputs():
             elim_step(prob, inv, MethodConfig(s=2, k=4), prob.initial_state, h)
         with pytest.raises(ConfigError):
             integrate(prob, None, MethodConfig(s=2, k=4), h, 5)
-    # more steps than a state array can address: a ConfigError, not NumPy's ValueError
+    # no steps at all, or more than a state array can address: a ConfigError,
+    # not an empty trajectory or NumPy's ValueError
+    with pytest.raises(ConfigError, match="^n_steps must be >= 1, got 0"):
+        integrate(prob, None, MethodConfig(s=2, k=4), 0.1, 0)
     for n_steps in (_max_steps(prob.dim) + 1, 10**300):
         with pytest.raises(ConfigError, match="n_steps"):
             integrate(prob, None, MethodConfig(s=2, k=4), 0.1, n_steps)

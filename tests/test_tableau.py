@@ -150,8 +150,8 @@ def test_simplifying_assumption_low_order():
 
 
 def _scaled_a(k, s, eta):
-    # the Butcher matrix of an ELIM step with scaling eta, as the stepper
-    # forms it from the HBVM factors: (I diag(eta)) PTB
+    # the Butcher matrix of an ELIM step with scaling eta, from the HBVM
+    # factors: (I diag(eta)) PTB; the stepper applies I diag(eta) to PTB f
     tab = build_hbvm_tableau(k, s)
     return (tab.I * np.asarray(eta, dtype=float)) @ tab.PTB
 
