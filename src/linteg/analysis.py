@@ -60,14 +60,22 @@ def reference_solution(
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if problem.name == "kepler":
-        periods = horizon / (2.0 * math.pi)
-        if abs(periods - round(periods)) <= 1e-9 * max(1.0, abs(periods)):
-            return problem.initial_state.copy()
-    n = max(1, int(round(horizon / h_ref)))
+    n = _reference_steps(problem, h_ref, horizon)
+    if n == 0:
+        return problem.initial_state.copy()
     config = MethodConfig(s=6, k=12)
     traj = integrate(problem, None, config, horizon / n, n)
     return traj.states[-1]
+
+
+def _reference_steps(problem: HamiltonianProblem, h_ref: float, horizon: float) -> int:
+    """Steps reference_solution integrates: 0 where the horizon is a whole
+    number of Kepler periods."""
+    if problem.name == "kepler":
+        periods = horizon / (2.0 * math.pi)
+        if abs(periods - round(periods)) <= 1e-9 * max(1.0, abs(periods)):
+            return 0
+    return max(1, int(round(horizon / h_ref)))
 
 
 def drift_slope(times, errors) -> float:

@@ -14,15 +14,17 @@ import csv
 import json
 import math
 import os
+import pickle
 import re
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .analysis import drift_report, max_norm_error, reference_solution
+from .analysis import _reference_steps, drift_report, max_norm_error, reference_solution
 from .integrators import ConfigError, MethodConfig, NonConvergence, _max_steps, integrate
 from .problems import (
     HamiltonianProblem,
@@ -181,24 +183,121 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
         writer.writerows(rows)
 
 
-def _runs(spec: ExperimentSpec, problem: HamiltonianProblem):
-    """Integrate spec's method over its horizon once per step size.
+def _outcome(task):
+    """(True, task()) or (False, the exception it raised)."""
+    try:
+        return True, task()
+    except Exception as exc:
+        return False, exc
 
-    Yields (h, n_steps, trajectory) as each run finishes.
+
+def _serve(tasks: list, share: list, write) -> None:
+    """Body of a forked child: run tasks[i] for i in share, pickle their
+    outcomes into the pipe and leave by os._exit on every path, so that no
+    exit handler inherited from the parent (pytest's, the CLI's) runs twice."""
+    status = 1
+    try:
+        pickle.dump([_outcome(tasks[i][1]) for i in share], write)
+        write.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _parallel(tasks: list):
+    """Run the (n_steps, task) pairs of one invocation, each task taking no
+    argument; yield the results in task order.  A task that raised raises
+    again at its place, after the results before it, as the plain loop would.
+
+    On Linux the tasks go, largest n_steps first, each to the least loaded
+    of this process and a forked child per further usable CPU.  Fork makes
+    a child inherit the imported package and the tasks, whose problem
+    records hold lambdas, so only results are pickled (linteg starts no
+    thread, and OpenBLAS stops its own before a fork).  A child that dies
+    fails its tasks with ChildProcessError.  With one task, one usable CPU
+    or no sched_getaffinity (macOS, Windows) this is the plain loop.
     """
-    invariants = spec.build_invariants()
-    config = spec.method_config()
-    for h, n in spec.step_counts():
-        yield h, n, integrate(problem, invariants, config, h, n)
+    try:
+        n_procs = min(len(tasks), len(os.sched_getaffinity(0)))
+    except AttributeError:
+        n_procs = 1
+    if n_procs < 2:
+        for _, task in tasks:
+            yield task()
+        return
+    shares = [[] for _ in range(n_procs)]
+    loads = [0] * n_procs
+    for i in sorted(range(len(tasks)), key=lambda i: -tasks[i][0]):
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += tasks[i][0]
+    outcomes = [None] * len(tasks)
+    children = []  # (pid, pipe, share) of each child not yet waited for
+    try:
+        for share in shares[1:]:
+            read, write = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+            with write:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(tasks, share, write)
+            children.append((pid, read, share))
+        for i in shares[0]:
+            outcomes[i] = _outcome(tasks[i][1])
+        while children:
+            pid, pipe, share = children[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code == 0:
+                results = pickle.loads(data)
+            else:
+                dead = ChildProcessError(f"worker process {pid} exited with status {code}")
+                results = [(False, dead)] * len(share)
+            for i, outcome in zip(share, results):
+                outcomes[i] = outcome
+    finally:
+        if children:  # left early, by an interrupt or a failed fork or read
+            import signal
+
+            for pid, pipe, _ in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+        yield value
+
+
+def _integrations(spec: ExperimentSpec, problem: HamiltonianProblem) -> list:
+    """(n_steps, task) per step size: spec's method integrated over its horizon."""
+    invariants, config = spec.build_invariants(), spec.method_config()
+    return [
+        (n, partial(integrate, problem, invariants, config, h, n)) for h, n in spec.step_counts()
+    ]
+
+
+def _runs(spec: ExperimentSpec, problem: HamiltonianProblem):
+    """Yield (h, n_steps, trajectory) per step size of spec, in step order;
+    the runs go side by side (see _parallel)."""
+    for (h, n), traj in zip(spec.step_counts(), _parallel(_integrations(spec, problem))):
+        yield h, n, traj
 
 
 def _run_convergence(spec: ExperimentSpec, out: Path) -> None:
     problem = spec.build_problem()
     h_ref = min(spec.step_sizes) / 2.0
-    y_ref = reference_solution(problem, h_ref, spec.horizon)
+    # an integrated reference is the costliest run, so it shares their batch
+    reference = (
+        _reference_steps(problem, h_ref, spec.horizon),
+        partial(reference_solution, problem, h_ref, spec.horizon),
+    )
+    results = _parallel([reference] + _integrations(spec, problem))
+    y_ref = next(results)
     rows = []
     prev = None
-    for h, n, traj in _runs(spec, problem):
+    for (h, n), traj in zip(spec.step_counts(), results):
         err = max_norm_error(traj.states[-1], y_ref)
         order = "" if prev is None else _order(prev, err)
         rows.append([_fmt(h), str(n), _fmt(err), order, str(traj.iteration_total)])
@@ -246,6 +345,12 @@ def _run_iterations(spec: ExperimentSpec, out: Path) -> None:
 def _run_drift(spec: ExperimentSpec, out: Path) -> None:
     problem = spec.build_problem()
     [(h, n, traj)] = _runs(spec, problem)
+    _write_drift(spec, problem, h, n, traj, out)
+
+
+def _write_drift(
+    spec: ExperimentSpec, problem: HamiltonianProblem, h: float, n: int, traj, out: Path
+) -> None:
     # every invariant the problem defines is reported, whatever is imposed
     kepler = spec.problem == "kepler"
     labels = ("L1", "L2") if kepler else ()
@@ -366,21 +471,37 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
         )
         for label, fields in paper["methods"].items()
     }
+    drift_specs = {
+        label: replace(
+            spec, experiment="drift", step_sizes=(paper["drift_step_size"],),
+            horizon=paper["drift_horizon"],
+        )
+        for label, spec in specs.items()
+    }
     labels = list(specs)
-    for spec in specs.values():
+    for spec in [*specs.values(), *drift_specs.values()]:
         spec.validate()
     problem = specs[labels[0]].build_problem()
     y_ref = reference_solution(problem, min(steps) / 2.0, paper["horizon"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # every distinct (label, tolerance, h) is integrated once; the tables read this store
-    runs = {}
-    errors = {}
+    # every distinct (label, tolerance, h) is integrated once, in one batch
+    # with the drift runs; the tables read the store
+    keys, tasks = [], []
     for label, spec in specs.items():
         for h, n in spec.step_counts():
             for t in dict.fromkeys((conv_tol, base_tol)):
                 config = replace(spec, tol=t).method_config()
-                runs[label, t, h] = integrate(problem, spec.build_invariants(), config, h, n)
+                keys.append((label, t, h))
+                tasks.append((n, partial(integrate, problem, spec.build_invariants(), config, h, n)))
+    for spec in drift_specs.values():
+        tasks += _integrations(spec, problem)
+    results = _parallel(tasks)
+    runs = {}
+    errors = {}
+    for (label, t, h), traj in zip(keys, results):
+        runs[label, t, h] = traj
+        if t == base_tol:  # the last run of (label, h)
             errors[label, h] = max_norm_error(runs[label, conv_tol, h].states[-1], y_ref)
             print(
                 f"{label}  h=pi/{round(math.pi / h)}  error={_fmt(errors[label, h])}  "
@@ -407,12 +528,10 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
     header = ["n", "t"] + _alpha_names(traj.alpha.shape[1])
     _write_csv(out_dir / "alpha_components.csv", header, _alpha_rows(traj))
 
-    for label, spec in specs.items():
+    for label, spec in drift_specs.items():
         print(f"drift {label}:")
-        run_experiment(replace(
-            spec, experiment="drift", step_sizes=(paper["drift_step_size"],),
-            horizon=paper["drift_horizon"], out=str(out_dir / f"drift_{label}.csv"),
-        ))
+        [(h, n)] = spec.step_counts()
+        _write_drift(spec, problem, h, n, next(results), out_dir / f"drift_{label}.csv")
     (out_dir / "parameters.json").write_text(json.dumps(paper, indent=2) + "\n")
     print(f"wrote {out_dir}/")
 

@@ -7,7 +7,8 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ import pytest
 import linteg
 from linteg import harness
 from linteg.harness import ExperimentSpec, main, parse_step_size
-from linteg.integrators import ConfigError
+from linteg.integrators import ConfigError, MethodConfig, NonConvergence, integrate
+from linteg.problems import kepler_invariants, kepler_problem, polynomial_oscillator
 from linteg.tableau import build_hbvm_tableau
 
 
@@ -226,13 +228,91 @@ def test_validation_fails_before_writing(tmp_path, capsys, monkeypatch):
         assert message in captured.err
 
 
-def test_nonconvergence_exit_code(tmp_path):
+def test_nonconvergence_exit_code(tmp_path, capsys):
     out = tmp_path / "fail.csv"
     code = main([
         "drift", "--method", "hbvm", "-s", "2", "-k", "4", "--tol", "1e-15",
         "--steps", "0.5", "--horizon", "50", "--out", str(out),
     ])
     assert code == 1
+    # the runs before the failing one keep their lines, wherever each ran
+    capsys.readouterr()
+    code = main([
+        "convergence", "--method", "hbvm", "-s", "2", "-k", "4", "--tol", "1e-15",
+        "--steps", "0.1,0.5", "--horizon", "15", "--out", str(out),
+    ])
+    assert code == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    [line] = captured.out.splitlines()
+    assert line.startswith("h=0.1  n=150  error=")
+    assert captured.err == (
+        "error: step 26 of 30: no fixed point after 200 sweeps (residual 2.842e-14, h=0.5)\n"
+    )
+
+
+def _two_cpus(monkeypatch):
+    # fork a worker even on a host with one usable CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_failure_in_a_worker_keeps_its_fields(monkeypatch):
+    _two_cpus(monkeypatch)
+    problem = kepler_problem(0.6)
+    config = MethodConfig(s=2, k=4, fp_tolerance=1e-15)
+    # the larger run stays in this process; the child takes the one that fails
+    tasks = [(n, partial(integrate, problem, None, config, h, n)) for h, n in ((0.1, 40), (0.5, 30))]
+    results = harness._parallel(tasks)
+    assert next(results).states.shape == (41, 4)
+    with pytest.raises(NonConvergence) as failure:
+        next(results)
+    assert (failure.value.iterations, failure.value.step_index) == (200, 26)
+    assert failure.value.residual == pytest.approx(2.842e-14, rel=1e-3)
+
+
+def test_dead_worker_fails_and_leaves_no_child(tmp_path, monkeypatch, capsys):
+    _two_cpus(monkeypatch)
+    parent = os.getpid()
+
+    def dies_in_a_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return integrate(*args)
+
+    monkeypatch.setattr(harness, "integrate", dies_in_a_child)
+    out = tmp_path / "conv.csv"
+    code = main([
+        "convergence", "--method", "hbvm", "-s", "2", "-k", "4",
+        "--steps", "pi/8,pi/16", "--horizon", "2pi", "--out", str(out),
+    ])
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: worker process ")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", ["host", "one"])
+def test_parallel_runs_equal_the_plain_loop(monkeypatch, cpus):
+    if cpus == "one":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    kepler = kepler_problem(0.6)
+    runs = [
+        (kepler, None, MethodConfig(s=3, k=3), 0.1, 30),
+        (kepler, None, MethodConfig(s=3, k=12), 0.1, 40),
+        (kepler, kepler_invariants("angular_momentum_only"), MethodConfig(s=3, k=12), 0.1, 20),
+        (kepler, kepler_invariants("angular_momentum_and_lrl"), MethodConfig(s=3, k=12, r=8),
+         0.1, 25),
+        (polynomial_oscillator(4), None, MethodConfig(s=2, k=4), 0.1, 30),
+    ]
+    results = list(harness._parallel([(run[-1], partial(integrate, *run)) for run in runs]))
+    assert len(results) == len(runs)
+    for run, traj in zip(runs, results):
+        alone = integrate(*run)
+        assert traj.h == alone.h
+        for field in fields(alone)[1:]:
+            a, b = getattr(traj, field.name), getattr(alone, field.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -460,19 +540,30 @@ def test_reproduce_paper_tables_match_the_subcommands(tmp_path, monkeypatch, cap
 
 def test_reproduce_paper_integrates_each_run_once(tmp_path, monkeypatch):
     _small_paper(monkeypatch)
-    calls = collections.Counter()
+    # runs may go to forked workers, so each call appends a line to a file
+    # that every process writes to
+    log = tmp_path / "calls.jsonl"
     integrate = harness.integrate
 
     def counted(problem, invariants, config, h, n_steps):
-        calls[config, 0 if invariants is None else invariants.nu, h] += 1
+        with open(log, "a") as fh:
+            fh.write(json.dumps([asdict(config), 0 if invariants is None else invariants.nu, h]))
+            fh.write("\n")
         return integrate(problem, invariants, config, h, n_steps)
+
+    def logged_calls():
+        with open(log) as fh:
+            entries = map(json.loads, fh)
+            return collections.Counter((MethodConfig(**c), nu, h) for c, nu, h in entries)
 
     monkeypatch.setattr(harness, "integrate", counted)
     # two tolerances: each method runs each step twice, then drifts once
     assert main(["reproduce-paper", "--out-dir", str(tmp_path / "a")]) == 0
+    calls = logged_calls()
     assert len(calls) == 4 * 2 * 2 + 4 and set(calls.values()) == {1}
     # one tolerance: the convergence and iteration tables share each run
-    calls.clear()
+    log.unlink()
     assert main(["reproduce-paper", "--out-dir", str(tmp_path / "b"), "--tol", "1e-13"]) == 0
+    calls = logged_calls()
     assert len(calls) == 4 * 2 + 4 and set(calls.values()) == {1}
     assert {config.fp_tolerance for config, _, _ in calls} == {1e-13}
