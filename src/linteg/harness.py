@@ -215,16 +215,13 @@ def _parallel(tasks: list):
     records hold lambdas, so only results are pickled (linteg starts no
     thread, and OpenBLAS stops its own before a fork).  A child that dies
     fails its tasks with ChildProcessError.  With one task, one usable CPU
-    or no sched_getaffinity (macOS, Windows) this is the plain loop.
+    or no sched_getaffinity (macOS, Windows) every task runs in this process
+    and nothing is forked.
     """
     try:
-        n_procs = min(len(tasks), len(os.sched_getaffinity(0)))
+        n_procs = max(1, min(len(tasks), len(os.sched_getaffinity(0))))
     except AttributeError:
         n_procs = 1
-    if n_procs < 2:
-        for _, task in tasks:
-            yield task()
-        return
     shares = [[] for _ in range(n_procs)]
     loads = [0] * n_procs
     for i in sorted(range(len(tasks)), key=lambda i: -tasks[i][0]):
@@ -489,11 +486,9 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
     # with the drift runs; the tables read the store
     keys, tasks = [], []
     for label, spec in specs.items():
-        for h, n in spec.step_counts():
-            for t in dict.fromkeys((conv_tol, base_tol)):
-                config = replace(spec, tol=t).method_config()
-                keys.append((label, t, h))
-                tasks.append((n, partial(integrate, problem, spec.build_invariants(), config, h, n)))
+        for t in dict.fromkeys((conv_tol, base_tol)):
+            keys += [(label, t, h) for h, _ in spec.step_counts()]
+            tasks += _integrations(replace(spec, tol=t), problem)
     for spec in drift_specs.values():
         tasks += _integrations(spec, problem)
     results = _parallel(tasks)

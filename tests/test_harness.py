@@ -292,9 +292,11 @@ def test_dead_worker_fails_and_leaves_no_child(tmp_path, monkeypatch, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cpus", ["host", "one"])
+@pytest.mark.parametrize("cpus", ["two", "one"])
 def test_parallel_runs_equal_the_plain_loop(monkeypatch, cpus):
-    if cpus == "one":
+    if cpus == "two":
+        _two_cpus(monkeypatch)
+    else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     kepler = kepler_problem(0.6)
     runs = [
