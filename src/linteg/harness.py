@@ -38,12 +38,11 @@ from .tableau import build_hbvm_tableau, tableau_to_json
 __all__ = ["ExperimentSpec", "main", "parse_step_size", "run_experiment"]
 
 _METHODS = ("gauss", "hbvm", "elim")
-# each --invariants label: the number nu of invariants imposed and the
-# kepler_invariants selection that imposes them
+# each --invariants label and the kepler_invariants selection that imposes it
 _INVARIANTS = {
-    "none": (0, None),
-    "L1": (1, "angular_momentum_only"),
-    "L1L2": (2, "angular_momentum_and_lrl"),
+    "none": None,
+    "L1": "angular_momentum_only",
+    "L1L2": "angular_momentum_and_lrl",
 }
 
 _PI_PATTERN = re.compile(
@@ -103,7 +102,8 @@ class ExperimentSpec:
         return self.s if self.k is None else self.k
 
     def nu(self) -> int:
-        return _INVARIANTS[self.invariants][0]
+        invariants = self.build_invariants()
+        return 0 if invariants is None else invariants.nu
 
     def validate(self) -> None:
         if self.experiment not in _RUNNERS:
@@ -171,7 +171,7 @@ class ExperimentSpec:
         return polynomial_oscillator(int(self.problem.removeprefix("oscillator")))
 
     def build_invariants(self) -> Optional[InvariantSet]:
-        selection = _INVARIANTS[self.invariants][1]
+        selection = _INVARIANTS[self.invariants]
         return kepler_invariants(selection) if selection else None
 
 
@@ -351,7 +351,7 @@ def _write_drift(
     # every invariant the problem defines is reported, whatever is imposed
     kepler = spec.problem == "kepler"
     labels = ("L1", "L2") if kepler else ()
-    monitored = kepler_invariants("angular_momentum_and_lrl") if kepler else None
+    monitored = kepler_invariants(_INVARIANTS["L1L2"]) if kepler else None
     report = drift_report(traj, problem, monitored)
     nu = spec.nu()
     header = (

@@ -58,6 +58,12 @@ class NonConvergence(RuntimeError):
         self.step_index = step_index
 
 
+def _check_count(name, value):
+    # bool is an int subclass; a float, even a whole one, is no count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MethodConfig:
     """Parameters of a method run.
@@ -77,10 +83,8 @@ class MethodConfig:
         return self.k if self.r is None else self.r
 
     def validate(self, nu: int = 0) -> None:
-        # bool is an int subclass; a float, even a whole one, is no node count
         for name, value in (("s", self.s), ("k", self.k), ("r", self.resolved_r())):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            _check_count(name, value)
         if self.s < 1:
             raise ConfigError(f"need s >= 1, got s={self.s}")
         if self.k < self.s:
@@ -144,7 +148,7 @@ def _solve_scaling(g, b, w, alpha_old, rhs_noise):
     by row, and b, w and alpha_old are lists of nu.  Returns (alpha,
     fallback) with alpha a list.
 
-    Besides singularity and the conditioning bound, a solution with
+    Besides a non-finite alpha and the conditioning bound, a solution with
     |h^(2(s-1-j)) alpha_j| > 1 is rejected: it would push an eta entry
     through zero and only arises from the transient near-zero gamma tail
     of a cold-started iteration.
@@ -160,59 +164,53 @@ def _solve_scaling(g, b, w, alpha_old, rhs_noise):
     per-call overhead is most of the cost.  A determinant that is zero,
     subnormal, overflowing or not a number (every non-finite Gamma gives
     one) goes to the LU path that nu > 2 always takes, so singular and
-    badly scaled systems are judged exactly as before.
+    badly scaled systems are judged exactly as before.  Both paths yield
+    cond, norm(inv(Gamma), inf), alpha, max|w alpha| and max|alpha -
+    alpha_old| for one set of acceptance rules.
     """
     nu = len(b)
-    if nu <= 2:
-        det = g[0] if nu == 1 else g[0] * g[3] - g[1] * g[2]
-        if _TINY <= abs(det) < math.inf:
-            return _solve_small(g, det, b, w, alpha_old, rhs_noise)
-    zeros = [0.0] * nu
-    Gamma = np.array(g).reshape(nu, nu)
-    rhs = np.array(b)
-    if not (np.all(np.isfinite(Gamma)) and np.all(np.isfinite(rhs))):
-        return zeros, True
-    try:
-        inv = np.linalg.inv(Gamma)
-    except np.linalg.LinAlgError:
-        return zeros, True
-    cond = np.linalg.norm(Gamma, 1) * np.linalg.norm(inv, 1)
-    if not np.isfinite(cond) or cond > _COND_BOUND:
-        return zeros, True
-    alpha = inv @ rhs
-    if not np.all(np.isfinite(alpha)) or np.max(np.abs(np.array(w) * alpha)) > 1.0:
-        return zeros, True
-    alpha_floor = np.linalg.norm(inv, np.inf) * rhs_noise
-    if np.max(np.abs(alpha - np.array(alpha_old))) <= alpha_floor:
-        return alpha_old, False
-    return alpha.tolist(), False
-
-
-def _solve_small(g, det, b, w, old, rhs_noise):
-    """_solve_scaling for nu <= 2, given Gamma's determinant.
-
-    A non-finite rhs makes alpha non-finite, so the alpha check rejects it.
-    """
-    if len(b) == 1:
-        inv = 1.0 / det
-        cond = abs(g[0]) * abs(inv)
-        inv_norm = abs(inv)
-        alpha = [inv * b[0]]
-        w_alpha = abs(w[0] * alpha[0])
-        moved = abs(alpha[0] - old[0])
+    det = g[0] if nu == 1 else g[0] * g[3] - g[1] * g[2] if nu == 2 else 0.0
+    if _TINY <= abs(det) < math.inf:
+        if nu == 1:
+            inv = 1.0 / det
+            cond = abs(g[0]) * abs(inv)
+            inv_norm = abs(inv)
+            alpha = [inv * b[0]]
+            w_alpha = abs(w[0] * alpha[0])
+            moved = abs(alpha[0] - alpha_old[0])
+        else:
+            i00, i01, i10, i11 = g[3] / det, -g[1] / det, -g[2] / det, g[0] / det
+            a00, a01, a10, a11 = abs(i00), abs(i01), abs(i10), abs(i11)
+            # 1-norms (largest column sum) for cond, inf-norm (largest row sum) for the floor
+            cond = max(abs(g[0]) + abs(g[2]), abs(g[1]) + abs(g[3])) * max(a00 + a10, a01 + a11)
+            inv_norm = max(a00 + a01, a10 + a11)
+            alpha = [i00 * b[0] + i01 * b[1], i10 * b[0] + i11 * b[1]]
+            w_alpha = max(abs(w[0] * alpha[0]), abs(w[1] * alpha[1]))
+            moved = max(abs(alpha[0] - alpha_old[0]), abs(alpha[1] - alpha_old[1]))
     else:
-        i00, i01, i10, i11 = g[3] / det, -g[1] / det, -g[2] / det, g[0] / det
-        a00, a01, a10, a11 = abs(i00), abs(i01), abs(i10), abs(i11)
-        # 1-norms (largest column sum) for cond, inf-norm (largest row sum) for the floor
-        cond = max(abs(g[0]) + abs(g[2]), abs(g[1]) + abs(g[3])) * max(a00 + a10, a01 + a11)
-        inv_norm = max(a00 + a01, a10 + a11)
-        alpha = [i00 * b[0] + i01 * b[1], i10 * b[0] + i11 * b[1]]
-        w_alpha = max(abs(w[0] * alpha[0]), abs(w[1] * alpha[1]))
-        moved = max(abs(alpha[0] - old[0]), abs(alpha[1] - old[1]))
-    if not (all(map(math.isfinite, alpha)) and cond <= _COND_BOUND and w_alpha <= 1.0):
-        return [0.0] * len(b), True
+        # no inverse (a non-finite entry, a singular Gamma) leaves cond
+        # infinite; alpha is formed only within the bound, as inv @ rhs of a
+        # wild inverse can overflow
+        cond = math.inf
+        Gamma, rhs = np.array(g).reshape(nu, nu), np.array(b)
+        if np.all(np.isfinite(Gamma)) and np.all(np.isfinite(rhs)):
+            try:
+                inv = np.linalg.inv(Gamma)
+                cond = np.linalg.norm(Gamma, 1) * np.linalg.norm(inv, 1)
+            except np.linalg.LinAlgError:
+                pass
+        if cond <= _COND_BOUND:
+            solution = inv @ rhs
+            inv_norm = np.linalg.norm(inv, np.inf)
+            alpha = solution.tolist()
+            w_alpha = np.max(np.abs(np.array(w) * solution))
+            moved = np.max(np.abs(solution - np.array(alpha_old)))
+    # cond first: past the bound the LU path has formed nothing else.  A
+    # non-finite rhs makes alpha non-finite.
+    if not (cond <= _COND_BOUND and all(map(math.isfinite, alpha)) and w_alpha <= 1.0):
+        return [0.0] * nu, True
     if moved <= inv_norm * rhs_noise:
-        return old, False
+        return alpha_old, False
     return alpha, False
 
 
@@ -430,8 +428,7 @@ def integrate(
     """March n_steps steps of size h from the problem's initial state."""
     nu = invariants.nu if invariants is not None else 0
     y, h = _validate(problem, config, nu, problem.initial_state, h)
-    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
-        raise ConfigError(f"n_steps must be an integer, got {n_steps!r}")
+    _check_count("n_steps", n_steps)
     if n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
     if n_steps > _max_steps(problem.dim):

@@ -39,14 +39,22 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+def _legendre_rows(n: int, t: np.ndarray) -> np.ndarray:
+    """Standard (unscaled) Legendre P_0 .. P_n at t in [-1, 1]; shape (n + 1,) + t.shape."""
+    out = np.empty((n + 1,) + t.shape, dtype=float)
+    out[0] = 1.0
+    if n >= 1:
+        out[1] = t
+    for j in range(2, n + 1):
+        out[j] = ((2 * j - 1) * t * out[j - 1] - (j - 1) * out[j - 2]) / j
+    return out
+
+
 def _standard_legendre_pair(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and derivative of the standard (monic-normalized) Legendre P_n on [-1, 1]."""
-    t = np.asarray(t, dtype=float)
+    """Value and derivative of the standard Legendre P_n on [-1, 1]."""
     if n == 0:
         return np.ones_like(t), np.zeros_like(t)
-    pm, p = np.ones_like(t), t.copy()
-    for j in range(2, n + 1):
-        pm, p = p, ((2 * j - 1) * t * p - (j - 1) * pm) / j
+    pm, p = _legendre_rows(n, t)[-2:]
     # derivative identity; nodes stay strictly inside (-1, 1) so t^2 != 1
     d = n * (t * p - pm) / (t * t - 1.0)
     return p, d
@@ -88,16 +96,9 @@ def legendre_table(n_max: int, x) -> np.ndarray:
     """Evaluate P_0 .. P_n_max at the points x; returns shape (n_max + 1,) + x.shape."""
     if n_max < 0:
         raise ValueError(f"polynomial degree must be >= 0, got {n_max}")
-    x = np.asarray(x, dtype=float)
-    t = 2.0 * x - 1.0
-    out = np.empty((n_max + 1,) + t.shape, dtype=float)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = t
-    for j in range(2, n_max + 1):
-        out[j] = ((2 * j - 1) * t * out[j - 1] - (j - 1) * out[j - 2]) / j
+    t = 2.0 * np.asarray(x, dtype=float) - 1.0
     scale = np.sqrt(2.0 * np.arange(n_max + 1) + 1.0)
-    return out * scale.reshape((n_max + 1,) + (1,) * t.ndim)
+    return _legendre_rows(n_max, t) * scale.reshape((n_max + 1,) + (1,) * t.ndim)
 
 
 def xi_coefficient(i: int) -> float:

@@ -60,6 +60,11 @@ def test_spec_validation_rejects_bad_combinations():
     with pytest.raises(ConfigError):
         ExperimentSpec(experiment="drift", problem="pendulum", method="hbvm",
                        s=2, step_sizes=(0.1,), horizon=10.0).validate()
+    # nu is the size of the invariant set the label builds
+    for label, nu in (("none", 0), ("L1", 1), ("L1L2", 2)):
+        spec = replace(good, invariants=label)
+        built = spec.build_invariants()
+        assert spec.nu() == nu == (0 if built is None else built.nu)
     # reproduce-paper is a subcommand, not an experiment a spec can name
     with pytest.raises(ConfigError, match="unknown experiment 'reproduce-paper'"):
         replace(good, experiment="reproduce-paper").validate()

@@ -1,5 +1,9 @@
 """Stepping, fixed-point iteration, and the invariant-imposing scaling."""
 
+import hashlib
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -323,6 +327,63 @@ def test_solve_scaling_matches_lu_reference():
     np.testing.assert_array_equal(kept, old)
 
 
+def _pinned_scaling_inputs():
+    """Seeded (Gamma row by row, rhs, w, alpha_old, rhs_noise) inputs, as
+    Python floats, on every path and return of _solve_scaling."""
+    rng = np.random.default_rng(12)
+    cases = []
+    # well-conditioned systems at nu = 1, 2, 3; alpha_old is zero or a
+    # shift of the solution by 1e-13, inside or outside the noise floor;
+    # a solution entry up to 2 sometimes gives |w alpha| > 1
+    for nu in (1, 2, 3):
+        w = [0.01 ** (nu - 1 - i) for i in range(nu)]
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-12.0, 0.0)
+            Gamma = (rng.uniform(-1.0, 1.0, (nu, nu)) + 2.0 * np.eye(nu)) * scale
+            x = rng.uniform(-2.0, 2.0, nu)
+            old = x + 1e-13 * rng.uniform(-1.0, 1.0, nu) if rng.uniform() < 0.5 else 0.0 * x
+            noise = scale * 10.0 ** rng.uniform(-17.0, -11.0)
+            cases.append((Gamma.ravel(), Gamma @ x, w, old, noise))
+    # nu = 2 systems whose determinant is subnormal or overflows: the LU path
+    for lo, hi in ((-161.0, -155.0), (155.0, 160.0)):
+        for _ in range(100):
+            Gamma = (rng.uniform(-1.0, 1.0, (2, 2)) + 2.0 * np.eye(2)) * 10.0 ** rng.uniform(lo, hi)
+            x = rng.uniform(-2.0, 2.0, 2)
+            cases.append((Gamma.ravel(), Gamma @ x, [0.01, 1.0], 0.0 * x, 0.0))
+    # the fallback cases of test_solve_scaling_matches_lu_reference
+    nan, inf = np.nan, np.inf
+    w2 = [0.01, 1.0]
+    for g, b, w in (
+        ([nan], [1.0], [1.0]), ([1.0, inf, 0.0, 1.0], [1.0, 1.0], w2),
+        ([1.0, 0.0, 0.0, 1.0], [nan, 1.0], w2), ([2.0], [-inf], [1.0]),
+        ([0.0], [1.0], [1.0]), ([1.0, 2.0, 2.0, 4.0], [1.0, 1.0], w2),
+        ([0.0, 0.0, 0.0, 0.0], [0.0, 0.0], w2),
+        ([1.0, 1.0, 1.0, 1.0 + 1e-10], [1.0, 1.0], w2),
+        ([1.0, 0.0, 0.0, 1.0], [0.0, 2.0], w2), ([1.0, 0.0, 0.0, 1.0], [200.0, 0.0], w2),
+        ([0.5], [0.75], [1.0]),
+    ):
+        cases.append((g, b, w, [0.0] * len(b), 0.0))
+    return [
+        (list(map(float, g)), list(map(float, b)), w, list(map(float, old)), float(noise))
+        for g, b, w, old, noise in cases
+    ]
+
+
+# sha256 over, per input of _pinned_scaling_inputs, the bytes of alpha, the
+# fallback flag and whether alpha is alpha_old itself; recorded when the
+# nu <= 2 closed form and the LU path each had their own acceptance rules
+SOLVE_SCALING_SHA256 = "b2cff0d04340cbec5c5f90819fd796848c6acd37211dcf85353501f716672272"
+
+
+def test_solve_scaling_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for g, b, w, old, noise in _pinned_scaling_inputs():
+        alpha, fallback = _solve_scaling(g, b, w, old, noise)
+        digest.update(struct.pack(f"{len(b)}d", *alpha))
+        digest.update(bytes([fallback, alpha is old]))
+    assert digest.hexdigest() == SOLVE_SCALING_SHA256
+
+
 def _reference_elim_step(problem, invariants, config, y0, h):
     # the sweep written with tensordot, einsum and np.linalg.inv, with
     # separate stage arrays at the k and the r nodes; returns (y1, sweeps)
@@ -577,6 +638,17 @@ def test_step_rejects_bad_inputs():
             elim_step(prob, inv, MethodConfig(s=2, k=4), prob.initial_state, h)
         with pytest.raises(ConfigError):
             integrate(prob, None, MethodConfig(s=2, k=4), h, 5)
+    # a non-integer or bool s, k, r or n_steps is named in the message
+    for config, n_steps, message in (
+        (MethodConfig(2.0, 4), 5, "s must be an integer, got 2.0"),
+        (MethodConfig(2, True), 5, "k must be an integer, got True"),
+        (MethodConfig(2, 4, 4.5), 5, "r must be an integer, got 4.5"),
+        (MethodConfig(2, 4, False), 5, "r must be an integer, got False"),
+        (MethodConfig(2, 4), 5.0, "n_steps must be an integer, got 5.0"),
+        (MethodConfig(2, 4), True, "n_steps must be an integer, got True"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            integrate(prob, inv, config, 0.1, n_steps)
     # no steps at all, or more than a state array can address: a ConfigError,
     # not an empty trajectory or NumPy's ValueError
     with pytest.raises(ConfigError, match="^n_steps must be >= 1, got 0"):

@@ -1,5 +1,6 @@
 """Quadrature rules and the orthonormal shifted Legendre basis."""
 
+import hashlib
 import sys
 import threading
 
@@ -104,6 +105,20 @@ def test_gauss_rule_thread_safety():
         np.testing.assert_array_equal(other.nodes, results[0].nodes)
         np.testing.assert_array_equal(other.weights, results[0].weights)
     assert gauss_rule(9) is gauss_rule(9)
+
+
+# sha256 over the nodes, then the weights, of the n-point rules n = 1 .. 40,
+# recorded when the Newton step had its own copy of the Legendre recurrence
+GAUSS_RULES_SHA256 = "50b503985507b9fc7c97a97c61a785cc89b94d4452c5f803cfddc1d31ad51c65"
+
+
+def test_gauss_rule_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 41):
+        rule = gauss_rule.__wrapped__(n)  # built afresh, not read from the cache
+        digest.update(rule.nodes.tobytes())
+        digest.update(rule.weights.tobytes())
+    assert digest.hexdigest() == GAUSS_RULES_SHA256
 
 
 def test_gauss_rule_validation():

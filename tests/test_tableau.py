@@ -1,5 +1,6 @@
 """Butcher tableau assembly for the conserving collocation-type methods."""
 
+import hashlib
 import sys
 import threading
 
@@ -106,6 +107,22 @@ def test_hbvm_tableau_cached_read_only_and_thread_safe():
     for other in results:
         for name in ("P", "I", "PTB", "A"):
             np.testing.assert_array_equal(getattr(other, name), getattr(tab, name))
+
+
+# sha256 over c, b, P, I, PTB and A of every HBVM(k, s) with 1 <= s <= k <= 20,
+# k the outer loop, recorded when the Gauss rule's Newton step and
+# legendre_table each had their own copy of the Legendre recurrence
+HBVM_TABLEAUX_SHA256 = "053bef47faf0389affe4ed245636130a8d6920a121016ebea35382df1887c2c3"
+
+
+def test_hbvm_tableau_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for k in range(1, 21):
+        for s in range(1, k + 1):
+            tab = build_hbvm_tableau.__wrapped__(k, s)  # built afresh, not read from the cache
+            for arr in (tab.c, tab.b, tab.P, tab.I, tab.PTB, tab.A):
+                digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == HBVM_TABLEAUX_SHA256
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
