@@ -25,8 +25,9 @@ from typing import Optional
 import numpy as np
 
 from .analysis import _reference_steps, drift_report, max_norm_error, reference_solution
-from .integrators import ConfigError, MethodConfig, NonConvergence, _max_steps, integrate
+from .integrators import MethodConfig, NonConvergence, _max_steps, integrate
 from .problems import (
+    ConfigError,
     HamiltonianProblem,
     InvariantSet,
     kepler_invariants,
@@ -112,10 +113,7 @@ class ExperimentSpec:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.invariants not in _INVARIANTS:
             raise ConfigError(f"unknown invariant selection {self.invariants!r}")
-        if not (self.problem == "kepler" or re.fullmatch(r"oscillator[2468]", self.problem)):
-            raise ConfigError(f"unknown problem {self.problem!r}")
-        if self.problem == "kepler" and not 0.0 <= self.eccentricity < 1.0:
-            raise ConfigError(f"eccentricity must lie in [0, 1), got {self.eccentricity}")
+        self.build_problem()
         if self.method == "gauss" and self.k is not None and self.k != self.s:
             raise ConfigError("the gauss method fixes k = s; drop -k or pass k = s")
         if self.method == "elim" and self.invariants == "none":
@@ -168,6 +166,10 @@ class ExperimentSpec:
     def build_problem(self) -> HamiltonianProblem:
         if self.problem == "kepler":
             return kepler_problem(self.eccentricity)
+        # oscillator<degree>: no leading zero, and at most four digits, as int()
+        # refuses a string of thousands; polynomial_oscillator checks the value
+        if not re.fullmatch(r"oscillator[1-9][0-9]{0,3}", self.problem):
+            raise ConfigError(f"unknown problem {self.problem!r}")
         return polynomial_oscillator(int(self.problem.removeprefix("oscillator")))
 
     def build_invariants(self) -> Optional[InvariantSet]:
@@ -340,19 +342,17 @@ def _run_iterations(spec: ExperimentSpec, out: Path) -> None:
 
 
 def _run_drift(spec: ExperimentSpec, out: Path) -> None:
-    problem = spec.build_problem()
-    [(h, n, traj)] = _runs(spec, problem)
-    _write_drift(spec, problem, h, n, traj, out)
+    [(_, _, traj)] = _runs(spec, spec.build_problem())
+    _write_drift(spec, traj, out)
 
 
-def _write_drift(
-    spec: ExperimentSpec, problem: HamiltonianProblem, h: float, n: int, traj, out: Path
-) -> None:
+def _write_drift(spec: ExperimentSpec, traj, out: Path) -> None:
+    h, n = traj.h, traj.iterations.size
     # every invariant the problem defines is reported, whatever is imposed
     kepler = spec.problem == "kepler"
     labels = ("L1", "L2") if kepler else ()
     monitored = kepler_invariants(_INVARIANTS["L1L2"]) if kepler else None
-    report = drift_report(traj, problem, monitored)
+    report = drift_report(traj, spec.build_problem(), monitored)
     nu = spec.nu()
     header = (
         ["n", "t", "h_error"] + [f"err_{lab}" for lab in labels] + _alpha_names(nu)
@@ -525,8 +525,7 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
 
     for label, spec in drift_specs.items():
         print(f"drift {label}:")
-        [(h, n)] = spec.step_counts()
-        _write_drift(spec, problem, h, n, next(results), out_dir / f"drift_{label}.csv")
+        _write_drift(spec, next(results), out_dir / f"drift_{label}.csv")
     (out_dir / "parameters.json").write_text(json.dumps(paper, indent=2) + "\n")
     print(f"wrote {out_dir}/")
 

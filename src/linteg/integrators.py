@@ -21,11 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import HamiltonianProblem, InvariantSet, apply_structure
+from .problems import ConfigError, HamiltonianProblem, InvariantSet, apply_structure
 from .tableau import build_hbvm_tableau
 
 __all__ = [
-    "ConfigError",
     "NonConvergence",
     "MethodConfig",
     "StepWorkspace",
@@ -42,10 +41,6 @@ _TINY = float(np.finfo(float).tiny)
 _COND_BOUND = 1e8
 # a step that has not met the tolerance after this many sweeps raises NonConvergence
 _MAX_SWEEPS = 200
-
-
-class ConfigError(ValueError):
-    """Raised for invalid method parameters before any stepping happens."""
 
 
 class NonConvergence(RuntimeError):
@@ -353,10 +348,11 @@ def _stepper(problem, invariants, config, h):
 
 
 def _one_step(problem, invariants, config, y0, h):
-    """One step through a fresh stepper, with its StepWorkspace."""
+    """One validated step through a fresh stepper, with its StepWorkspace."""
+    nu = invariants.nu if invariants is not None else 0
+    y0, h = _validate(problem, config, nu, y0, h)
     step = _stepper(problem, invariants, config, h)
     y1, sweeps, alpha, fallback, G, eta, Gamma, rhs, fallback_sweeps = step(y0)
-    nu = len(alpha)
     workspace = StepWorkspace(
         gamma=G,
         eta=eta,
@@ -400,7 +396,6 @@ def hbvm_step(
     h: float,
 ):
     """One energy-conserving step; returns (y1, workspace)."""
-    y0, h = _validate(problem, config, 0, y0, h)
     return _one_step(problem, None, config, y0, h)
 
 
@@ -414,7 +409,6 @@ def elim_step(
     """One step conserving the Hamiltonian and the given invariants; returns (y1, workspace)."""
     if invariants is None or invariants.nu < 1:
         raise ConfigError("elim_step needs an InvariantSet with nu >= 1")
-    y0, h = _validate(problem, config, invariants.nu, y0, h)
     return _one_step(problem, invariants, config, y0, h)
 
 

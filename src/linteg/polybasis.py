@@ -51,16 +51,18 @@ def _legendre_rows(n: int, t: np.ndarray) -> np.ndarray:
 
 
 def _standard_legendre_pair(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and derivative of the standard Legendre P_n on [-1, 1]."""
-    if n == 0:
-        return np.ones_like(t), np.zeros_like(t)
+    """Value and derivative of the standard Legendre P_n, n >= 1, on [-1, 1]."""
     pm, p = _legendre_rows(n, t)[-2:]
     # derivative identity; nodes stay strictly inside (-1, 1) so t^2 != 1
     d = n * (t * p - pm) / (t * t - 1.0)
     return p, d
 
 
-def _compute_gauss_rule(n: int) -> QuadratureRule:
+@functools.lru_cache(maxsize=None)
+def gauss_rule(n: int) -> QuadratureRule:
+    """Return the cached n-point Gauss-Legendre rule on [0, 1] (exact to degree 2n-1)."""
+    if n < 1:
+        raise ValueError(f"quadrature rule needs n >= 1, got {n}")
     i = np.arange(1, n + 1)
     t = np.cos(math.pi * (4 * i - 1) / (4 * n + 2))
     for _ in range(_NEWTON_MAX_ITERS):
@@ -82,14 +84,6 @@ def _compute_gauss_rule(n: int) -> QuadratureRule:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(n=n, nodes=nodes, weights=weights)
-
-
-@functools.lru_cache(maxsize=None)
-def gauss_rule(n: int) -> QuadratureRule:
-    """Return the cached n-point Gauss-Legendre rule on [0, 1] (exact to degree 2n-1)."""
-    if n < 1:
-        raise ValueError(f"quadrature rule needs n >= 1, got {n}")
-    return _compute_gauss_rule(n)
 
 
 def legendre_table(n_max: int, x) -> np.ndarray:

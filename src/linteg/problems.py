@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "HamiltonianProblem",
     "InvariantSet",
     "apply_structure",
@@ -28,6 +29,10 @@ __all__ = [
     "kepler_invariants",
     "polynomial_oscillator",
 ]
+
+
+class ConfigError(ValueError):
+    """Raised for invalid problem or method parameters before any stepping happens."""
 
 
 def apply_structure(grad: np.ndarray, m: int) -> np.ndarray:
@@ -87,7 +92,7 @@ def kepler_problem(eccentricity: float) -> HamiltonianProblem:
     eccentricity e with period 2 pi and angular momentum sqrt(1 - e^2).
     """
     if not 0.0 <= eccentricity < 1.0:
-        raise ValueError(f"eccentricity must lie in [0, 1), got {eccentricity}")
+        raise ConfigError(f"eccentricity must lie in [0, 1), got {eccentricity}")
     e = float(eccentricity)
     y0 = np.array([1.0 - e, 0.0, 0.0, np.sqrt((1.0 + e) / (1.0 - e))])
     y0.flags.writeable = False
@@ -173,7 +178,7 @@ def kepler_invariants(which: str) -> InvariantSet:
             values=lambda y: np.stack([_angular_momentum(y), _lrl_scalar(y)], axis=-1),
             gradients=_grad_angular_momentum_and_lrl,
         )
-    raise ValueError(
+    raise ConfigError(
         "which must be 'angular_momentum_only' or 'angular_momentum_and_lrl', "
         f"got {which!r}"
     )
@@ -182,7 +187,7 @@ def kepler_invariants(which: str) -> InvariantSet:
 def polynomial_oscillator(degree: int) -> HamiltonianProblem:
     """One-degree-of-freedom oscillator H = p^2 / 2 + q^degree / degree, started at (1, 0)."""
     if degree not in (2, 4, 6, 8):
-        raise ValueError(f"degree must be one of 2, 4, 6, 8, got {degree}")
+        raise ConfigError(f"degree must be one of 2, 4, 6, 8, got {degree}")
     d = int(degree)
 
     # in float64 whatever y's dtype: q**d of an integer q would wrap

@@ -17,8 +17,13 @@ import pytest
 import linteg
 from linteg import harness
 from linteg.harness import ExperimentSpec, main, parse_step_size
-from linteg.integrators import ConfigError, MethodConfig, NonConvergence, integrate
-from linteg.problems import kepler_invariants, kepler_problem, polynomial_oscillator
+from linteg.integrators import MethodConfig, NonConvergence, integrate
+from linteg.problems import (
+    ConfigError,
+    kepler_invariants,
+    kepler_problem,
+    polynomial_oscillator,
+)
 from linteg.tableau import build_hbvm_tableau
 
 
@@ -219,18 +224,38 @@ def test_validation_fails_before_writing(tmp_path, capsys, monkeypatch):
         ])
         assert code == 2
         assert not out.exists()
+    # an unbound orbit fails the same way when no integration would follow
+    assert main(["tableau", "-s", "2", "--eccentricity", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    # nothing was integrated, so no run was reported
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "horizon 1.0 / step size 1e-300" in captured.err
+    assert captured.err.count("eccentricity must lie in [0, 1), got 1.0") == 2
+    assert "invariant selections are defined for the kepler problem" in captured.err
+    # a problem name that is not kepler or oscillator<degree>, the degree
+    # written without a leading zero; a degree the oscillator does not define
+    for name in ("pendulum", "oscillator", "oscillator02", "oscillator3"):
+        code = main([
+            "convergence", "--problem", name, "--method", "hbvm", "-s", "2", "-k", "4",
+            "--steps", "pi/8", "--horizon", "2pi", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if name == "oscillator3":
+            assert "degree must be one of 2, 4, 6, 8, got 3" in captured.err
+        else:
+            assert f"unknown problem {name!r}" in captured.err
     # and a CSV experiment without --out
     monkeypatch.chdir(tmp_path)
     no_out = ["iterations", "--method", "gauss", "-s", "2", "--steps", "pi/8", "--horizon", "2pi"]
     assert main(no_out) == 2
     assert list(tmp_path.iterdir()) == []
-    # nothing was integrated, so no run was reported
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "horizon 1.0 / step size 1e-300" in captured.err
-    for message in ("eccentricity must lie in [0, 1), got 1.0",
-                    "invariant selections are defined for the kepler problem", "pass --out"):
-        assert message in captured.err
+    assert "pass --out" in captured.err
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys):

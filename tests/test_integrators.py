@@ -3,12 +3,12 @@
 import hashlib
 import re
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
 
 from linteg.integrators import (
-    ConfigError,
     MethodConfig,
     NonConvergence,
     _MAX_SWEEPS,
@@ -20,6 +20,7 @@ from linteg.integrators import (
     integrate,
 )
 from linteg.problems import (
+    ConfigError,
     HamiltonianProblem,
     InvariantSet,
     apply_structure,
@@ -662,6 +663,25 @@ def test_step_rejects_bad_inputs():
         hbvm_step(prob, MethodConfig(s=2, k=4), bad_state, 0.1)
     with pytest.raises(ConfigError):
         elim_step(prob, inv, MethodConfig(s=2, k=4), bad_state, 0.1)
+    # elim_step asks for its invariant set before it looks at the other inputs
+    with pytest.raises(ConfigError, match="^elim_step needs an InvariantSet with nu >= 1$"):
+        elim_step(prob, None, MethodConfig(s=2, k=4), bad_state, 0.1)
+    # both steppers name a zero step, a misshapen state and a bad config; the
+    # elim config is checked against the nu of the set it is given
+    both = kepler_invariants("angular_momentum_and_lrl")
+    for step in (partial(hbvm_step, prob), partial(elim_step, prob, inv),
+                 partial(elim_step, prob, both)):
+        for config, y0, h, message in (
+            (MethodConfig(s=3, k=4), prob.initial_state, 0.0, "step size must be nonzero"),
+            (MethodConfig(s=3, k=4), np.zeros(3), 0.1, "state must have shape (4,), got (3,)"),
+            (MethodConfig(s=3, k=2), prob.initial_state, 0.1, "need k >= s, got k=2, s=3"),
+        ):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                step(config, y0, h)
+    with pytest.raises(
+        ConfigError, match=r"^conserving nu=2 invariants needs s > nu, got s=2$"
+    ):
+        elim_step(prob, both, MethodConfig(s=2, k=4), prob.initial_state, 0.1)
 
 
 def test_resolved_r_defaults_to_k():

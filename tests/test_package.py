@@ -1,4 +1,9 @@
-"""The package's public names."""
+"""The package's public names and what importing it loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import linteg
 from linteg import analysis, integrators, polybasis, problems, tableau
@@ -22,3 +27,18 @@ def test_package_exports_every_module_list():
         "polynomial_oscillator", "reference_solution", "tableau_to_json", "xhat_matrix",
         "xi_coefficient",
     ]
+
+
+def test_import_leaves_the_cli_unloaded():
+    # the library's cold start does not compile or run the experiment runner
+    # and its argparse and csv imports; only the CLI entry point needs them
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, linteg; "
+        "print(sorted({'linteg.harness', 'argparse', 'csv'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

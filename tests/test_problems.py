@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from linteg.problems import (
+    ConfigError,
     HamiltonianProblem,
     InvariantSet,
     _grad_angular_momentum,
@@ -54,10 +55,11 @@ def test_kepler_initial_state_general_eccentricity():
 
 
 def test_kepler_eccentricity_validation():
-    with pytest.raises(ValueError):
-        kepler_problem(1.0)
-    with pytest.raises(ValueError):
-        kepler_problem(-0.1)
+    # a configuration error, and so still a ValueError
+    for e in (1.0, -0.1):
+        with pytest.raises(ConfigError, match=r"^eccentricity must lie in \[0, 1\)") as info:
+            kepler_problem(e)
+        assert isinstance(info.value, ValueError)
     kepler_problem(0.0)
 
 
@@ -74,8 +76,9 @@ def test_kepler_invariant_values_at_start():
 def test_kepler_invariants_selection():
     one = kepler_invariants("angular_momentum_only")
     assert one.nu == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^which must be") as info:
         kepler_invariants("everything")
+    assert isinstance(info.value, ValueError)
 
 
 def test_kepler_gradients_match_finite_differences():
@@ -224,10 +227,10 @@ def test_polynomial_oscillator(degree):
 
 
 def test_polynomial_oscillator_validation():
-    with pytest.raises(ValueError):
-        polynomial_oscillator(3)
-    with pytest.raises(ValueError):
-        polynomial_oscillator(0)
+    for degree in (3, 0):
+        with pytest.raises(ConfigError, match="^degree must be one of 2, 4, 6, 8") as info:
+            polynomial_oscillator(degree)
+        assert isinstance(info.value, ValueError)
 
 
 def _shipped_problems():
