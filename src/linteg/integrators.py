@@ -21,7 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import ConfigError, HamiltonianProblem, InvariantSet, apply_structure
+from .problems import (
+    ConfigError,
+    HamiltonianProblem,
+    InvariantSet,
+    _check_count,
+    apply_structure,
+)
 from .tableau import build_hbvm_tableau
 
 __all__ = [
@@ -51,12 +57,6 @@ class NonConvergence(RuntimeError):
         self.residual = residual
         self.iterations = iterations
         self.step_index = step_index
-
-
-def _check_count(name, value):
-    # bool is an int subclass; a float, even a whole one, is no count
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -209,6 +209,31 @@ def _solve_scaling(g, b, w, alpha_old, rhs_noise):
     return alpha, False
 
 
+def _scaling_system_nu2(G, Phi, w):
+    """Gamma (row by row) and rhs of a nu = 2 scaling system, in Python floats.
+
+    G is s x d and Phi s x d x 2.  The bits are those of prods =
+    np.einsum("jdv,jd->jv", Phi, G), rhs = prods.sum(axis=0) and Gamma[v][i]
+    = w_i prods[s - 2 + i][v]: on these operands einsum adds the products
+    Phi G to a zero in d order, and the column sum adds row by row, which
+    the loops below repeat.  At nu = 1 NumPy pairs terms instead (SIMD
+    lanes, and a pairwise sum from s = 8 on), so that case stays in NumPy.
+    """
+    s, d = G.shape
+    g, phi = G.ravel().tolist(), Phi.ravel().tolist()
+    rhs0 = rhs1 = a = b = 0.0
+    for j in range(0, s * d, d):
+        a_prev, b_prev = a, b
+        a = b = 0.0
+        for i in range(j, j + d):
+            a += phi[2 * i] * g[i]
+            b += phi[2 * i + 1] * g[i]
+        rhs0 += a
+        rhs1 += b
+    w0, w1 = w
+    return [w0 * a_prev, w1 * a, w0 * b_prev, w1 * b], [rhs0, rhs1]
+
+
 @functools.lru_cache(maxsize=None)
 def _structure_transpose(m):
     """J^T, read-only and cached per m.
@@ -230,6 +255,12 @@ def _stepper(problem, invariants, config, h):
     Gamma, rhs, fallback_sweeps): alpha, Gamma (row by row) and rhs are
     lists of Python floats, and eta is the stepper's own array, which the
     next step overwrites.
+
+    At nu <= 2 the scaling system is formed in Python floats (at nu = 2
+    all of it, in _scaling_system_nu2).  eta and I eta are rewritten only
+    when the accepted alpha differs from the one they were built from,
+    which the stepper keeps across steps: in late sweeps the noise-floor
+    rule mostly hands alpha back unchanged.
     """
     s, k = config.s, config.k
     nu = invariants.nu if invariants is not None else 0
@@ -258,10 +289,12 @@ def _stepper(problem, invariants, config, h):
         w = ((h * h) ** np.arange(nu - 1, -1, -1)).tolist()
         # round-off scale of the rhs assembly: 4 s d terms per invariant
         noise_scale = 4.0 * s * d * _EPS
-        # I eta differs from I only in its nu tail columns, which each sweep
-        # rewrites in place
+        # I eta differs from I only in its nu tail columns, which a sweep
+        # rewrites in place when alpha moves; eta_alpha is the alpha eta and
+        # I eta were last built from (eta = 1 is alpha = 0)
         Ieta = I.copy()
         I_tail, Ieta_tail, eta_tail = I[:, s - nu :], Ieta[:, s - nu :], eta[s - nu :]
+        eta_alpha = [0.0] * nu
     IetaT = Ieta.T
 
     # The stage arrays are column-major: np.dot(G.T, IetaT).T holds the bits
@@ -274,6 +307,7 @@ def _stepper(problem, invariants, config, h):
     zero_stage = np.dot(np.zeros((d, s)), IetaT).T * h
 
     def step(y0):
+        nonlocal eta_alpha
         # The scaling system (Gamma, rhs, alpha) is kept in Python floats:
         # at nu <= 2 a handful of float operations cost less than NumPy calls.
         alpha = [0.0] * nu
@@ -308,20 +342,30 @@ def _stepper(problem, invariants, config, h):
             if nu:
                 grads = gradients(U[-r:] if stacked else U).reshape(r, d * nu)
                 Phi = np.dot(PTB_r, grads).reshape(s, d, nu)
-                prods = np.einsum("jdv,jd->jv", Phi, G)
-                rhs_noise = noise_scale * float(
-                    np.dot(abs(G).ravel(), abs(Phi).reshape(s * d, nu)).max()
+                # a NaN column makes its rhs entry NaN and the solve fall
+                # back, so Python's max, which can pass over a NaN, decides
+                # nothing np.max would not
+                rhs_noise = noise_scale * max(
+                    np.dot(abs(G).ravel(), abs(Phi).reshape(s * d, nu)).tolist()
                 )
-                # NumPy's column sum, not a Python loop: at nu = 1 and s >= 8
-                # it adds pairwise, an order a loop would not reproduce
-                rhs = prods.sum(axis=0).tolist()
-                # Gamma[v][i] = w_i prods[s - nu + i][v]
-                tail = prods[s - nu :].tolist()
-                Gamma = [wi * row[v] for v in range(nu) for wi, row in zip(w, tail)]
+                if nu == 2:
+                    Gamma, rhs = _scaling_system_nu2(G, Phi, w)
+                else:
+                    prods = np.einsum("jdv,jd->jv", Phi, G)
+                    # NumPy's column sum, not a Python loop: at nu = 1 and
+                    # s >= 8 it adds pairwise, an order a loop would not
+                    # reproduce
+                    rhs = prods.sum(axis=0).tolist()
+                    # Gamma[v][i] = w_i prods[s - nu + i][v]
+                    tail = prods[s - nu :].tolist()
+                    Gamma = [wi * row[v] for v in range(nu) for wi, row in zip(w, tail)]
                 alpha, fallback = _solve_scaling(Gamma, rhs, w, alpha, rhs_noise)
                 fallback_sweeps += fallback
-                eta_tail[:] = [1.0 - wi * ai for wi, ai in zip(w, alpha)]
-                np.multiply(I_tail, eta_tail, out=Ieta_tail)
+                # an equal alpha gives the same eta bit for bit
+                if alpha != eta_alpha:
+                    eta_alpha = alpha
+                    eta_tail[:] = [1.0 - wi * ai for wi, ai in zip(w, alpha)]
+                    np.multiply(I_tail, eta_tail, out=Ieta_tail)
 
             U_next = np.dot(G.T, IetaT).T
             U_next *= h

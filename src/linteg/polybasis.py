@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problems import _check_count
+
 __all__ = [
     "gauss_rule",
     "legendre_table",
@@ -58,9 +60,15 @@ def _standard_legendre_pair(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return p, d
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def gauss_rule(n: int) -> QuadratureRule:
-    """Return the cached n-point Gauss-Legendre rule on [0, 1] (exact to degree 2n-1)."""
+    """Return the cached n-point Gauss-Legendre rule on [0, 1] (exact to degree 2n-1).
+
+    The cache is keyed by type as well as value, so a count that is no
+    integer (3.0, True) never finds the entry of an equal int and always
+    meets the integer check.
+    """
+    _check_count("n", n)
     if n < 1:
         raise ValueError(f"quadrature rule needs n >= 1, got {n}")
     i = np.arange(1, n + 1)

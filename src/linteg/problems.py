@@ -35,6 +35,12 @@ class ConfigError(ValueError):
     """Raised for invalid problem or method parameters before any stepping happens."""
 
 
+def _check_count(name, value):
+    # bool is an int subclass; a float, even a whole one, is no count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def apply_structure(grad: np.ndarray, m: int) -> np.ndarray:
     """Apply J = [[0, I_m], [-I_m, 0]] to (batches of) gradients."""
     out = np.empty_like(grad)
@@ -132,31 +138,25 @@ def _lrl_scalar(y: np.ndarray) -> np.ndarray:
     return p1 * _angular_momentum(y) + q2 / r
 
 
-def _grad_lrl_scalar(y: np.ndarray, out=None) -> np.ndarray:
-    # out as for _grad_angular_momentum.  Entries: p1 p2 - q1 q2 / r^3,
-    # q1^2 / r^3 - p1^2, L - p1 q2 and p1 q1, with L = q1 p2 - q2 p1.  r^3
-    # is formed from the component views like every other entry: a single
-    # state then takes NumPy's scalar power and a batch its array power,
-    # which can differ in the last bit, just as the per-component formulas do.
-    q1, q2, p1, p2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-    q1q1 = q1 * q1
-    r3 = (q1q1 + q2 * q2) ** 1.5
-    p1q2 = p1 * q2
-    if out is None:
-        out = np.empty(y.shape)
-    np.subtract(p1 * p2, q1 * q2 / r3, out=out[..., 0])
-    np.subtract(q1q1 / r3, p1 * p1, out=out[..., 1])
-    np.subtract(q1 * p2 - p1q2, p1q2, out=out[..., 2])
-    np.multiply(p1, q1, out=out[..., 3])
-    return out
-
-
 def _grad_angular_momentum_and_lrl(y: np.ndarray) -> np.ndarray:
-    # both gradients written into one (..., 4, 2) array: stacking two
-    # separately built ones costs more than computing them
+    # both gradients written into one (..., 4, 2) array.  The LRL entries
+    # are p1 p2 - q1 q2 / r^3, q1^2 / r^3 - p1^2, L - p1 q2 and p1 q1, with
+    # L = q1 p2 - q2 p1.  Every product y_a y_b (b < 3) comes from one
+    # broadcast multiply and both quotients from one divide; each is
+    # correctly rounded, so this grouping gives the bits of the entry-by-
+    # entry formulas.  r^3 is a power of a component sum, as in those
+    # formulas: a single state then takes NumPy's scalar power and a batch
+    # its array power, which can differ in the last bit.
+    yy = y[..., :, None] * y[..., None, :3]
+    r3 = (yy[..., 0, 0] + yy[..., 1, 1]) ** 1.5
+    over_r3 = yy[..., 0, :2] / r3[..., None]
+    p1q2 = yy[..., 2, 1]
     out = np.empty(y.shape + (2,))
     _grad_angular_momentum(y, out[..., 0])
-    _grad_lrl_scalar(y, out[..., 1])
+    np.subtract(yy[..., 3, 2], over_r3[..., 1], out=out[..., 0, 1])
+    np.subtract(over_r3[..., 0], yy[..., 2, 2], out=out[..., 1, 1])
+    np.subtract(yy[..., 3, 0] - p1q2, p1q2, out=out[..., 2, 1])
+    out[..., 3, 1] = yy[..., 2, 0]
     return out
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polybasis import gauss_rule, integral_table, legendre_table, xi_coefficient
+from .problems import _check_count
 
 __all__ = [
     "TableauMatrices",
@@ -47,13 +48,17 @@ class TableauMatrices:
     A: np.ndarray
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def build_hbvm_tableau(k: int, s: int) -> TableauMatrices:
     """Tableau of HBVM(k, s); reduces to the s-stage Gauss method when k = s.
 
     The record is cached per (k, s) and its arrays are read-only, so every
-    caller (the steppers included) shares one copy of the operators.
+    caller (the steppers included) shares one copy of the operators.  As
+    for gauss_rule, the cache is keyed by type, so a count that is no
+    integer raises ConfigError whatever the cache holds.
     """
+    _check_count("k", k)
+    _check_count("s", s)
     if s < 1:
         raise ValueError(f"need s >= 1, got s={s}")
     if k < s:

@@ -13,6 +13,7 @@ from linteg.integrators import (
     NonConvergence,
     _MAX_SWEEPS,
     _max_steps,
+    _scaling_system_nu2,
     _solve_scaling,
     _structure_transpose,
     elim_step,
@@ -438,6 +439,79 @@ def test_elim_step_matches_reference_sweep(nu, r, s, k):
     # the nu = 2 closed form takes the adjugate where the reference takes LU,
     # so alpha may differ in its last bits; y1 is allowed one ulp per component
     np.testing.assert_allclose(y1, y1_ref, rtol=np.finfo(float).eps, atol=0)
+
+
+# (s, k, r) runs of EHBVM with nu = 2 that the seed-0 fingerprints do not
+# take: the stacked path (r != k) and s = 8.  sha256 of the states and of the
+# per-step alpha, recorded before the nu = 2 scaling system moved from NumPy
+# calls into Python floats; test_elim_step_matches_reference_sweep holds
+# these runs to one ulp only.
+NU2_RUN_SHA256 = {
+    (3, 12, 8): (
+        "745ea3fb2675085832cf1df5009e1c86d8f8d6c3bc320a8a04b1b38080415ffe",
+        "5ae232ad5bd6aeede703fc5a76d558b53ad92fafc27eb4366d8f9486d30363d9",
+    ),
+    (8, 12, 12): (
+        "2180737d9c1d77f088ce80455b76830623373f4ebd9098fb205f44bd24bafcb0",
+        "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865",
+    ),
+}
+
+
+@pytest.mark.parametrize("s, k, r", list(NU2_RUN_SHA256), ids=["stacked-r8", "s8"])
+def test_nu2_runs_off_the_fingerprinted_path_are_pinned(s, k, r):
+    # Kepler e = 0.6 from perihelion, 100 steps of 0.1, L and LRL imposed
+    inv = kepler_invariants("angular_momentum_and_lrl")
+    traj = integrate(kepler_problem(0.6), inv, MethodConfig(s=s, k=k, r=r), 0.1, 100)
+    digests = tuple(
+        hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+        for a in (traj.states, traj.alpha)
+    )
+    assert digests == NU2_RUN_SHA256[(s, k, r)]
+
+
+def _pinned_nu2_operands(rng, s, d, spread):
+    # G (s x d) and Phi (s x d x 2) as the sweep has them, C-ordered, with
+    # magnitudes from 10^-spread to 10^spread (no product overflows at
+    # spread <= 150), signed zeros and subnormals mixed in
+    def draw(shape):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-spread, spread + 1, shape)
+        kind = rng.integers(0, 8, shape)
+        x[kind == 0] = 0.0
+        x[kind == 1] = -0.0
+        x[kind == 2] = rng.standard_normal(np.count_nonzero(kind == 2)) * 1e-310
+        x[kind == 3] = rng.standard_normal(np.count_nonzero(kind == 3))
+        return x
+
+    G = draw((s, d))
+    Phi = draw((s, d * 2)).reshape(s, d, 2)
+    return G, Phi
+
+
+@pytest.mark.parametrize("s", [3, 8, 9])
+@pytest.mark.parametrize("d", [2, 4])
+def test_nu2_scaling_system_matches_numpy_form(s, d):
+    # the nu = 2 scaling system is built in Python floats in the order
+    # np.einsum and the column sum use on these operands; if a NumPy
+    # release reorders either, this fails instead of the bits moving
+    rng = np.random.default_rng(1000 * s + d)
+    # a narrow spread makes every term count in the last bits of a sum
+    cases = [_pinned_nu2_operands(rng, s, d, spread) for spread in (1, 150) for _ in range(200)]
+    # every product a signed zero; and products that cancel in pairs
+    G, Phi = _pinned_nu2_operands(rng, s, d, 150)
+    cases.append((G, np.full_like(Phi, -0.0)))
+    G, Phi = rng.standard_normal((s, d)), rng.standard_normal((s, d, 2))
+    G[:, 1::2], Phi[:, 1::2] = G[:, ::2], -Phi[:, ::2]
+    cases.append((G, Phi))
+    for G, Phi in cases:
+        w = [float(rng.uniform(1e-4, 1.0)) ** 2, 1.0]
+        prods = np.einsum("jdv,jd->jv", Phi, G)
+        rhs = prods.sum(axis=0)
+        tail = prods[s - 2 :]
+        Gamma = [w[0] * tail[0, 0], w[1] * tail[1, 0], w[0] * tail[0, 1], w[1] * tail[1, 1]]
+        got_Gamma, got_rhs = _scaling_system_nu2(G, Phi, w)
+        assert struct.pack("4d", *got_Gamma) == struct.pack("4d", *Gamma)
+        assert struct.pack("2d", *got_rhs) == rhs.tobytes()
 
 
 def _reference_hbvm_step(problem, config, y0, h):

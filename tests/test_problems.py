@@ -8,7 +8,6 @@ from linteg.problems import (
     HamiltonianProblem,
     InvariantSet,
     _grad_angular_momentum,
-    _grad_lrl_scalar,
     apply_structure,
     kepler_invariants,
     kepler_problem,
@@ -96,17 +95,40 @@ def test_kepler_gradients_match_finite_differences():
             np.testing.assert_allclose(grads[:, v], fd, rtol=0, atol=1e-7)
 
 
+def _per_entry_lrl_gradient(y):
+    # the LRL gradient one entry at a time, each product and quotient
+    # formed on its own: the reference for the grouped form in problems
+    q1, q2, p1, p2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+    q1q1 = q1 * q1
+    r3 = (q1q1 + q2 * q2) ** 1.5
+    p1q2 = p1 * q2
+    out = np.empty(y.shape)
+    np.subtract(p1 * p2, q1 * q2 / r3, out=out[..., 0])
+    np.subtract(q1q1 / r3, p1 * p1, out=out[..., 1])
+    np.subtract(q1 * p2 - p1q2, p1q2, out=out[..., 2])
+    np.multiply(p1, q1, out=out[..., 3])
+    return out
+
+
 def test_paired_gradients_equal_stacked_single_gradients():
-    # the L + LRL gradient is filled into one (..., 4, 2) array; it must be
-    # the two single gradients stacked on the last axis, bit for bit
+    # the L + LRL gradient groups its products and quotients into a few
+    # NumPy calls; it must be grad L and the per-entry LRL gradient stacked
+    # on the last axis, bit for bit, and C-ordered, for batches in either
+    # layout and for single states
     inv = kepler_invariants("angular_momentum_and_lrl")
     rng = np.random.default_rng(7)
-    for shape in ((5, 12), (3,), ()):
-        y = _random_states(rng, int(np.prod(shape))).reshape(shape + (4,))
-        expected = np.stack([_grad_angular_momentum(y), _grad_lrl_scalar(y)], -1)
-        got = inv.gradients(y)
-        assert got.shape == shape + (4, 2)
-        np.testing.assert_array_equal(got, expected)
+    for _ in range(200):
+        batch = _random_states(rng, 12) * 10.0 ** rng.integers(-3, 4, (12, 4))
+        inputs = [
+            batch, np.asfortranarray(batch), batch[:6].reshape(2, 3, 4),
+            batch[0], np.asfortranarray(batch)[5],
+        ]
+        for y in inputs:
+            expected = np.stack([_grad_angular_momentum(y), _per_entry_lrl_gradient(y)], -1)
+            got = inv.gradients(y)
+            assert got.shape == y.shape + (2,)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == expected.tobytes()
 
 
 def _textbook_kepler(y):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from linteg.polybasis import gauss_rule, legendre_table
+from linteg.problems import ConfigError
 from linteg.tableau import (
     TableauMatrices,
     build_hbvm_tableau,
@@ -198,6 +199,31 @@ def test_build_validation():
         build_hbvm_tableau(2, 3)
     with pytest.raises(ValueError):
         build_hbvm_tableau(0, 0)
+
+
+@pytest.mark.parametrize("int_first", [False, True], ids=["float-first", "int-first"])
+def test_non_integer_counts_fail_whatever_the_cache_holds(int_first):
+    # the caches are keyed by type, so 3.0 or True never finds the entry an
+    # equal int left; both call orders run in this one process
+    build_hbvm_tableau.cache_clear()
+    gauss_rule.cache_clear()
+    if int_first:
+        build_hbvm_tableau(3, 2)
+        build_hbvm_tableau(1, 1)
+    for call, args in (
+        (build_hbvm_tableau, (3.0, 2)), (build_hbvm_tableau, (3, 2.0)),
+        (build_hbvm_tableau, (True, 1)), (gauss_rule, (3.0,)), (gauss_rule, (True,)),
+    ):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            call(*args)
+    tab = build_hbvm_tableau(3, 2)
+    assert build_hbvm_tableau(3, 2) is tab
+    # NumPy integers stay counts, with the same bits as the int's entry
+    wide = build_hbvm_tableau(np.int64(3), np.int64(2))
+    for name in ("c", "b", "P", "I", "PTB", "A"):
+        assert getattr(wide, name).tobytes() == getattr(tab, name).tobytes()
+    # a failed call leaves no entry; the int64 pair has one of its own
+    assert build_hbvm_tableau.cache_info().currsize == (3 if int_first else 2)
 
 
 def test_tableau_to_json_roundtrip():
