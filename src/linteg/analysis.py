@@ -116,9 +116,7 @@ def drift_report(
         h_slope=h_slope,
         invariant_slopes=inv_slopes,
         h_max=float(np.max(np.abs(h_error))),
-        invariant_max=np.max(np.abs(invariant_error), axis=0)
-        if invariant_error.size
-        else np.zeros(0),
+        invariant_max=np.max(np.abs(invariant_error), axis=0),
     )
 
 

@@ -14,7 +14,6 @@ gamma_0 in both cases.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -234,16 +233,13 @@ def _scaling_system_nu2(G, Phi, w):
     return [w0 * a_prev, w1 * a, w0 * b_prev, w1 * b], [rhs0, rhs1]
 
 
-@functools.lru_cache(maxsize=None)
 def _structure_transpose(m):
-    """J^T, read-only and cached per m.
+    """J^T.
 
     g @ J^T is apply_structure(g, m) when g is finite, but for the sign of an
     exact zero; a non-finite entry of g makes its whole row NaN.
     """
-    jt = apply_structure(np.eye(2 * m), m)
-    jt.flags.writeable = False
-    return jt
+    return apply_structure(np.eye(2 * m), m)
 
 
 def _stepper(problem, invariants, config, h):

@@ -13,7 +13,6 @@ underlies the tridiagonal step matrix in :mod:`linteg.tableau`.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -60,14 +59,8 @@ def _standard_legendre_pair(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return p, d
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def gauss_rule(n: int) -> QuadratureRule:
-    """Return the cached n-point Gauss-Legendre rule on [0, 1] (exact to degree 2n-1).
-
-    The cache is keyed by type as well as value, so a count that is no
-    integer (3.0, True) never finds the entry of an equal int and always
-    meets the integer check.
-    """
+    """Return the n-point Gauss-Legendre rule on [0, 1] (exact to degree 2n-1)."""
     _check_count("n", n)
     if n < 1:
         raise ValueError(f"quadrature rule needs n >= 1, got {n}")
@@ -89,8 +82,6 @@ def gauss_rule(n: int) -> QuadratureRule:
     order = np.argsort(t)
     nodes = 0.5 * (t[order] + 1.0)
     weights = 0.5 * w[order]
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
     return QuadratureRule(n=n, nodes=nodes, weights=weights)
 
 

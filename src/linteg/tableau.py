@@ -53,9 +53,9 @@ def build_hbvm_tableau(k: int, s: int) -> TableauMatrices:
     """Tableau of HBVM(k, s); reduces to the s-stage Gauss method when k = s.
 
     The record is cached per (k, s) and its arrays are read-only, so every
-    caller (the steppers included) shares one copy of the operators.  As
-    for gauss_rule, the cache is keyed by type, so a count that is no
-    integer raises ConfigError whatever the cache holds.
+    caller (the steppers included) shares one copy of the operators.  The
+    cache is keyed by type, so a count that is no integer (3.0, True) never
+    finds the entry of an equal int and raises ConfigError.
     """
     _check_count("k", k)
     _check_count("s", s)
@@ -70,7 +70,7 @@ def build_hbvm_tableau(k: int, s: int) -> TableauMatrices:
     PTB = P.T * b
     # the steppers never form A: they apply I diag(eta) to the projections PTB f
     A = I @ PTB
-    for arr in (P, I, PTB, A):
+    for arr in (c, b, P, I, PTB, A):
         arr.flags.writeable = False
     return TableauMatrices(s=s, k=k, c=c, b=b, P=P, I=I, PTB=PTB, A=A)
 

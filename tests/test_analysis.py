@@ -65,6 +65,9 @@ def test_drift_slope_on_synthetic_data():
     # bounded oscillation regresses to (nearly) zero slope
     wiggle = 1e-8 * np.sin(0.37 * t)
     assert abs(drift_slope(t, wiggle)) < 1e-10
+    for times, errors in ((t, t[:-1]), (t[:1], t[:1])):
+        with pytest.raises(ValueError, match="equal-length with >= 2 samples"):
+            drift_slope(times, errors)
 
 
 def test_drift_report_fields_and_flags():
@@ -80,6 +83,11 @@ def test_drift_report_fields_and_flags():
     # conserving method: slopes at round-off level
     assert abs(report.h_slope) <= 1e-12
     assert abs(report.invariant_slopes[0]) <= 1e-12
+    # with nothing monitored the invariant fields are empty float arrays
+    bare = drift_report(traj, prob)
+    assert bare.invariant_error.shape == (121, 0)
+    for arr in (bare.invariant_max, bare.invariant_slopes):
+        assert (arr.shape, arr.dtype) == ((0,), np.float64)
 
 
 def test_drift_report_monitors_unimposed_invariants():

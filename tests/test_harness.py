@@ -2,11 +2,13 @@
 
 import collections
 import csv
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
@@ -322,12 +324,39 @@ def test_dead_worker_fails_and_leaves_no_child(tmp_path, monkeypatch, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cpus", ["two", "one"])
+class _Interrupt(BaseException):
+    """Stands for an interrupt: no Exception, so _outcome lets it through."""
+
+
+def test_interrupted_parent_kills_its_worker(monkeypatch):
+    _two_cpus(monkeypatch)
+
+    def interrupted():
+        raise _Interrupt
+
+    # the larger task stays in this process; the child sleeps far past the bound
+    tasks = [(2, interrupted), (1, partial(time.sleep, 60))]
+    start = time.monotonic()
+    with pytest.raises(_Interrupt):
+        next(harness._parallel(tasks))
+    assert time.monotonic() - start < 5
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _no_fork():
+    raise AssertionError("forked without sched_getaffinity")
+
+
+@pytest.mark.parametrize("cpus", ["two", "one", "no_affinity"])
 def test_parallel_runs_equal_the_plain_loop(monkeypatch, cpus):
     if cpus == "two":
         _two_cpus(monkeypatch)
-    else:
+    elif cpus == "one":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:  # macOS, Windows: every task runs in this process
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "fork", _no_fork)
     kepler = kepler_problem(0.6)
     runs = [
         (kepler, None, MethodConfig(s=3, k=3), 0.1, 30),
@@ -519,6 +548,21 @@ def _small_paper(monkeypatch):
     monkeypatch.setitem(harness._PAPER, "drift_horizon", 1.0)
 
 
+# sha256 of each file of the small run, so a change that moves one bit of
+# any output shows here; a change meant to move bits refreshes these
+SMALL_PAPER_SHA256 = {
+    "alpha_components.csv": "7c059dba54f026f8fc2823b0642742f854f9b6efc0d8850b3d552554926cbff4",
+    "alpha_norms.csv": "5322781fd78159baeb98b0be96daed30f63d7bde9185b649bd0da974727796c5",
+    "convergence.csv": "721c6bf1dec94081c8b19d431e0d083c167086d8ffc32b722114a3a5022db8d1",
+    "drift_ehbvm_12_3_L1.csv": "e20febc1858c2c36747c41b8bebfc403f81209ce378198f48425e6721b9cbd7d",
+    "drift_ehbvm_12_3_L1L2.csv": "f144ae4fe9975c18f7cbcffff9deb7b1b0c4792753c4c2a88941e3cd3715c321",
+    "drift_gauss3.csv": "9976c7597a62452e89998df037b60b304686c59125f677d0de97e96357ee0ebf",
+    "drift_hbvm_12_3.csv": "10c14c70c32e3e16379b5f464fea36b0611e3527d8ce0be26dcc0a6692c02d33",
+    "iterations.csv": "e7861597d6c377702ffcda90d605628477c56e553b8e2e98756291183ac3618d",
+    "parameters.json": "3f82533b88fcb5dec2201a70ae7fda18cb4c10b06472ace80ac1a588e3e49373",
+}
+
+
 def test_reproduce_paper_tables_match_the_subcommands(tmp_path, monkeypatch, capsys):
     _small_paper(monkeypatch)
     out = tmp_path / "paper"
@@ -528,6 +572,8 @@ def test_reproduce_paper_tables_match_the_subcommands(tmp_path, monkeypatch, cap
         ["alpha_components.csv", "alpha_norms.csv", "convergence.csv", "iterations.csv",
          "parameters.json"] + [f"drift_{label}.csv" for label in methods]
     )
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert digests == SMALL_PAPER_SHA256
     params = json.loads((out / "parameters.json").read_text())
     assert params["step_sizes"] == [math.pi / 8, math.pi / 16]
     assert params["fp_tolerance"] == 1e-14 and params["fp_tolerance_convergence"] == 1e-15

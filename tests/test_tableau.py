@@ -199,14 +199,15 @@ def test_build_validation():
         build_hbvm_tableau(2, 3)
     with pytest.raises(ValueError):
         build_hbvm_tableau(0, 0)
+    with pytest.raises(ValueError, match="need s >= 1"):
+        xhat_matrix(0)
 
 
 @pytest.mark.parametrize("int_first", [False, True], ids=["float-first", "int-first"])
 def test_non_integer_counts_fail_whatever_the_cache_holds(int_first):
-    # the caches are keyed by type, so 3.0 or True never finds the entry an
-    # equal int left; both call orders run in this one process
+    # the tableau cache is keyed by type, so 3.0 or True never finds the
+    # entry an equal int left; both call orders run in this one process
     build_hbvm_tableau.cache_clear()
-    gauss_rule.cache_clear()
     if int_first:
         build_hbvm_tableau(3, 2)
         build_hbvm_tableau(1, 1)
