@@ -470,6 +470,41 @@ def test_nu2_runs_off_the_fingerprinted_path_are_pinned(s, k, r):
     assert digests == NU2_RUN_SHA256[(s, k, r)]
 
 
+# Runs on Kepler e = 0.6 from perihelion that take branches the fingerprints
+# do not reach, keyed by (invariants, s, k, r, h, n_steps): nu = 1 at s = 8,
+# where NumPy's column sum of the scaling products adds pairwise; nu = 1 on
+# the stacked path; and HBVM with k = 16, where OpenBLAS groups the k-term
+# sums by operand layout (see problems).  sha256 of the states, and of the
+# per-step alpha where there is one.
+OFF_PATH_RUN_SHA256 = {
+    ("angular_momentum_only", 8, 12, 12, 0.2, 50): (
+        "caae736a59651b74c7e2251d9388bbcedd65ca8ec96b30abe14dccafd3f6b96d",
+        "193432fdf2c0a8f54c3f36bd73679beb68d7b4723d6d3e07cd63ea9bb726fe83",
+    ),
+    ("angular_momentum_only", 3, 12, 8, 0.1, 100): (
+        "7ac3245f8b1a49a564bff0935e6ba01eddaeb69ab56f793d613f364900938134",
+        "74787b5ec98641f8d9e098438761fe05cc26b23025bfe634ffdba529a9f8d669",
+    ),
+    (None, 3, 16, None, 0.1, 100): (
+        "b8432bfd0cdf6d1c9af8c2aa078a9f7ac31d99dc761178219cda09f35f22f2e8",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "which, s, k, r, h, n_steps", list(OFF_PATH_RUN_SHA256),
+    ids=["nu1-s8", "nu1-stacked-r8", "hbvm-k16"],
+)
+def test_runs_off_the_fingerprinted_path_are_pinned(which, s, k, r, h, n_steps):
+    inv = kepler_invariants(which) if which else None
+    traj = integrate(kepler_problem(0.6), inv, MethodConfig(s=s, k=k, r=r), h, n_steps)
+    arrays = (traj.states, traj.alpha) if which else (traj.states,)
+    digests = tuple(
+        hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays
+    )
+    assert digests == OFF_PATH_RUN_SHA256[(which, s, k, r, h, n_steps)]
+
+
 def _pinned_nu2_operands(rng, s, d, spread):
     # G (s x d) and Phi (s x d x 2) as the sweep has them, C-ordered, with
     # magnitudes from 10^-spread to 10^spread (no product overflows at
