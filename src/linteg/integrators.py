@@ -25,6 +25,7 @@ from .problems import (
     HamiltonianProblem,
     InvariantSet,
     _check_count,
+    _is_real,
     apply_structure,
 )
 from .tableau import build_hbvm_tableau
@@ -46,6 +47,8 @@ _TINY = float(np.finfo(float).tiny)
 _COND_BOUND = 1e8
 # a step that has not met the tolerance after this many sweeps raises NonConvergence
 _MAX_SWEEPS = 200
+# max over all entries, as ndarray.max but without its Python wrapper
+_amax = np.maximum.reduce
 
 
 class NonConvergence(RuntimeError):
@@ -93,8 +96,7 @@ class MethodConfig:
                     f"conserving nu={nu} invariants needs s > nu, got s={self.s}"
                 )
         tol = self.fp_tolerance
-        real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
-        if not (real and 0.0 < tol < math.inf):
+        if not (_is_real(tol) and 0.0 < tol < math.inf):
             raise ConfigError(f"fp_tolerance must be a positive finite number, got {tol!r}")
 
 
@@ -211,7 +213,8 @@ def _solve_scaling(g, b, w, alpha_old, rhs_noise):
 def _scaling_system_nu2(G, Phi, w):
     """Gamma (row by row) and rhs of a nu = 2 scaling system, in Python floats.
 
-    G is s x d and Phi s x d x 2.  The bits are those of prods =
+    G is s x d, and Phi holds the s x d x 2 projection in C order (the sweep
+    passes it as s x 2d).  The bits are those of prods =
     np.einsum("jdv,jd->jv", Phi, G), rhs = prods.sum(axis=0) and Gamma[v][i]
     = w_i prods[s - 2 + i][v]: on these operands einsum adds the products
     Phi G to a zero in d order, and the column sum adds row by row, which
@@ -293,14 +296,18 @@ def _stepper(problem, invariants, config, h):
         eta_alpha = [0.0] * nu
     IetaT = Ieta.T
 
-    # The stage arrays are column-major: np.dot(G.T, IetaT).T holds the bits
-    # of (I eta) @ G, and every column y[..., i] a problem callable reads is
+    # The stage arrays are column-major: G.T.dot(IetaT).T holds the bits of
+    # (I eta) @ G, and every column y[..., i] a problem callable reads is
     # contiguous.  Every step starts from G = 0, so its first stage array is
     # y0 plus the same h ((I eta) @ 0), formed here once.
     #
-    # The sweep's products are np.dot, not @: on these small 2-d operands
-    # both make the same BLAS call, and np.dot costs less to dispatch.
-    zero_stage = np.dot(np.zeros((d, s)), IetaT).T * h
+    # Every NumPy call of a sweep enters C directly: products are
+    # ndarray.dot, maxima and sums ufunc.reduce.  np.dot's dispatcher and
+    # the ndarray.max and ndarray.sum wrappers are Python frames in front of
+    # the same C routines, and at these sizes a sweep costs what its calls
+    # cost.  test_sweeps_call_numpy_only_through_c holds this at nu = 0 and
+    # nu = 2.
+    zero_stage = np.zeros((d, s)).dot(IetaT).T * h
 
     def step(y0):
         nonlocal eta_alpha
@@ -329,29 +336,30 @@ def _stepper(problem, invariants, config, h):
         # count, and so every output, is the one the exact test on every
         # sweep gives.
         U = zero_stage + y0
-        bound = float(abs(y0).max())  # max|U|: every row of U is y0 + 0
+        bound = float(_amax(abs(y0), None))  # max|U|: every row of U is y0 + 0
 
         for sweeps in range(1, _MAX_SWEEPS + 1):
             # gamma_j = J sum_i b_i P_j(c_i) grad H(u(c_i h)): J, a signed
             # permutation, acts on the s projected rows, not the k gradients
-            G = np.dot(np.dot(PTB_k, grad_h(U[:k] if stacked else U)), JT)
+            G = PTB_k.dot(grad_h(U[:k] if stacked else U)).dot(JT)
             if nu:
                 grads = gradients(U[-r:] if stacked else U).reshape(r, d * nu)
-                Phi = np.dot(PTB_r, grads).reshape(s, d, nu)
+                # row j holds Phi[j, a, v] at a nu + v
+                Phi = PTB_r.dot(grads)
                 # a NaN column makes its rhs entry NaN and the solve fall
                 # back, so Python's max, which can pass over a NaN, decides
                 # nothing np.max would not
                 rhs_noise = noise_scale * max(
-                    np.dot(abs(G).ravel(), abs(Phi).reshape(s * d, nu)).tolist()
+                    abs(G).ravel().dot(abs(Phi).reshape(s * d, nu)).tolist()
                 )
                 if nu == 2:
                     Gamma, rhs = _scaling_system_nu2(G, Phi, w)
                 else:
-                    prods = np.einsum("jdv,jd->jv", Phi, G)
+                    prods = np.einsum("jdv,jd->jv", Phi.reshape(s, d, nu), G)
                     # NumPy's column sum, not a Python loop: at nu = 1 and
                     # s >= 8 it adds pairwise, an order a loop would not
                     # reproduce
-                    rhs = prods.sum(axis=0).tolist()
+                    rhs = np.add.reduce(prods, 0).tolist()
                     # Gamma[v][i] = w_i prods[s - nu + i][v]
                     tail = prods[s - nu :].tolist()
                     Gamma = [wi * row[v] for v in range(nu) for wi, row in zip(w, tail)]
@@ -360,19 +368,21 @@ def _stepper(problem, invariants, config, h):
                 # an equal alpha gives the same eta bit for bit
                 if alpha != eta_alpha:
                     eta_alpha = alpha
-                    eta_tail[:] = [1.0 - wi * ai for wi, ai in zip(w, alpha)]
+                    # entry by entry: a list slice assignment costs twice as much
+                    for i in range(nu):
+                        eta_tail[i] = 1.0 - w[i] * alpha[i]
                     np.multiply(I_tail, eta_tail, out=Ieta_tail)
 
-            U_next = np.dot(G.T, IetaT).T
+            U_next = G.T.dot(IetaT).T
             U_next *= h
             U_next += y0
             U -= U_next  # |U - U_next| is |U_next - U| bit for bit
-            residual = float(abs(U).max())
+            residual = float(_amax(abs(U), None))
             U = U_next
             bound += 2.0 * residual
             # "not >" so that a NaN residual or bound takes the exact test
             if not residual > tol * (1.0 + bound) * 1.01:
-                bound = float(abs(U).max())
+                bound = float(_amax(abs(U), None))
                 if residual <= tol * (1.0 + bound):
                     break
         else:
@@ -409,6 +419,8 @@ def _one_step(problem, invariants, config, y0, h):
 def _validate(problem, config, nu, y0, h):
     """Check a step's inputs once; return the state as a float array and h as a float."""
     config.validate(nu=nu)
+    if not _is_real(h):
+        raise ConfigError(f"step size must be a real number, got {h!r}")
     h = float(h)
     if h == 0.0:
         raise ConfigError("step size must be nonzero")

@@ -41,6 +41,11 @@ def _check_count(name, value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _is_real(value):
+    # a Python or NumPy integer or float: no bool, and no string float() would parse
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def apply_structure(grad: np.ndarray, m: int) -> np.ndarray:
     """Apply J = [[0, I_m], [-I_m, 0]] to (batches of) gradients."""
     out = np.empty_like(grad)
@@ -87,7 +92,7 @@ def _kepler_grad_h(y: np.ndarray) -> np.ndarray:
     # overwritten with q / |q|^3 computed from the columns of y
     out = np.array(y, dtype=float, order="C")
     q = y[..., :2]
-    np.divide(q, (q * q).sum(-1, keepdims=True) ** 1.5, out[..., :2])
+    np.divide(q, np.add.reduce(q * q, -1, keepdims=True) ** 1.5, out[..., :2])
     return out
 
 
@@ -97,8 +102,8 @@ def kepler_problem(eccentricity: float) -> HamiltonianProblem:
     The initial state (1 - e, 0, 0, sqrt((1+e)/(1-e))) gives an ellipse of
     eccentricity e with period 2 pi and angular momentum sqrt(1 - e^2).
     """
-    if not 0.0 <= eccentricity < 1.0:
-        raise ConfigError(f"eccentricity must lie in [0, 1), got {eccentricity}")
+    if not (_is_real(eccentricity) and 0.0 <= eccentricity < 1.0):
+        raise ConfigError(f"eccentricity must lie in [0, 1), got {eccentricity!r}")
     e = float(eccentricity)
     y0 = np.array([1.0 - e, 0.0, 0.0, np.sqrt((1.0 + e) / (1.0 - e))])
     y0.flags.writeable = False
@@ -186,8 +191,9 @@ def kepler_invariants(which: str) -> InvariantSet:
 
 def polynomial_oscillator(degree: int) -> HamiltonianProblem:
     """One-degree-of-freedom oscillator H = p^2 / 2 + q^degree / degree, started at (1, 0)."""
+    _check_count("degree", degree)
     if degree not in (2, 4, 6, 8):
-        raise ConfigError(f"degree must be one of 2, 4, 6, 8, got {degree}")
+        raise ConfigError(f"degree must be one of 2, 4, 6, 8, got {degree!r}")
     d = int(degree)
 
     # in float64 whatever y's dtype: q**d of an integer q would wrap

@@ -1,8 +1,10 @@
 """Stepping, fixed-point iteration, and the invariant-imposing scaling."""
 
 import hashlib
+import os
 import re
 import struct
+import sys
 from functools import partial
 
 import numpy as np
@@ -748,6 +750,23 @@ def test_step_rejects_bad_inputs():
             elim_step(prob, inv, MethodConfig(s=2, k=4), prob.initial_state, h)
         with pytest.raises(ConfigError):
             integrate(prob, None, MethodConfig(s=2, k=4), h, 5)
+    # h is a real number under fp_tolerance's rule: float() would take "0.1"
+    # and True, but a string, a bool or None is refused by all three entries
+    for h in ("0.1", True, False, None, 0.1j):
+        message = f"step size must be a real number, got {h!r}"
+        for run in (partial(hbvm_step, prob, MethodConfig(s=2, k=4), prob.initial_state),
+                    partial(elim_step, prob, inv, MethodConfig(s=2, k=4), prob.initial_state),
+                    partial(integrate, prob, None, MethodConfig(s=2, k=4), n_steps=2)):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                run(h=h)
+    # NumPy floats and integers are real numbers
+    a = integrate(prob, None, MethodConfig(s=2, k=4), np.float64(0.1), 3)
+    b = integrate(prob, None, MethodConfig(s=2, k=4), 0.1, 3)
+    np.testing.assert_array_equal(a.states, b.states)
+    osc = polynomial_oscillator(2)
+    a, _ = hbvm_step(osc, MethodConfig(s=2, k=4), osc.initial_state, np.int64(1))
+    b, _ = hbvm_step(osc, MethodConfig(s=2, k=4), osc.initial_state, 1.0)
+    np.testing.assert_array_equal(a, b)
     # a non-integer or bool s, k, r or n_steps is named in the message
     for config, n_steps, message in (
         (MethodConfig(2.0, 4), 5, "s must be an integer, got 2.0"),
@@ -807,7 +826,7 @@ def test_resolved_r_defaults_to_k():
 )
 def test_projection_then_structure_equals_projected_vector_field(problem):
     # the stepper applies J, a signed permutation, to the s projected rows
-    # as a product with J^T (np.dot, like its other products): for finite
+    # as a product with J^T (ndarray.dot, like its other products): for finite
     # gradients every term but one is a zero, so the result is
     # PTB @ (J grad H) bit for bit
     JT = _structure_transpose(problem.m)
@@ -817,7 +836,7 @@ def test_projection_then_structure_equals_projected_vector_field(problem):
         for _ in range(10):
             U = problem.initial_state + 0.3 * rng.standard_normal((k, problem.dim))
             for stage in (U, np.asfortranarray(U)):
-                got = np.dot(np.dot(PTB, problem.grad_h(stage)), JT)
+                got = PTB.dot(problem.grad_h(stage)).dot(JT)
                 assert got.tobytes() == (PTB @ problem.vector_field(stage)).tobytes()
 
 
@@ -833,3 +852,41 @@ def test_integrate_looks_up_each_operator_set_once(invariants, r, lookups):
     integrate(kepler_problem(0.6), inv, MethodConfig(s=3, k=12, r=r), 0.1, 50)
     after = build_hbvm_tableau.cache_info()
     assert (after.hits + after.misses) - (before.hits + before.misses) == lookups
+
+
+def _numpy_frames(run):
+    # Python-level frames (wrappers, __array_function__ dispatchers) entered
+    # in NumPy's own files while run() runs
+    root = os.path.dirname(np.__file__) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+@pytest.mark.parametrize(
+    "invariants, r",
+    [(None, None), ("angular_momentum_and_lrl", 12), ("angular_momentum_and_lrl", 8)],
+    ids=["hbvm", "elim_nu2", "elim_nu2_stacked"],
+)
+def test_sweeps_call_numpy_only_through_c(invariants, r):
+    # A sweep costs what its NumPy calls cost, and a call through a Python
+    # wrapper (np.dot's dispatcher, ndarray.max, ndarray.sum) costs a quarter
+    # of a microsecond more than the C entry point under it (ndarray.dot,
+    # ufunc.reduce).  So no step may enter a NumPy Python frame: the count is
+    # the same for 10 steps as for 20.  nu = 1 is exempt until its einsum
+    # goes (ROADMAP item 5(d)).
+    inv = kepler_invariants(invariants) if invariants else None
+    run = partial(integrate, kepler_problem(0.6), inv, MethodConfig(s=3, k=12, r=r), 0.1)
+    run(1)  # builds and caches the tableau
+    assert _numpy_frames(partial(run, 10)) == _numpy_frames(partial(run, 20))

@@ -54,12 +54,18 @@ def test_kepler_initial_state_general_eccentricity():
 
 
 def test_kepler_eccentricity_validation():
-    # a configuration error, and so still a ValueError
-    for e in (1.0, -0.1):
-        with pytest.raises(ConfigError, match=r"^eccentricity must lie in \[0, 1\)") as info:
+    # a configuration error, and so still a ValueError; a string, None or a
+    # bool is no eccentricity, not a bare TypeError or e = 0
+    for e in (1.0, -0.1, np.nan, "0.5", None, False, True):
+        with pytest.raises(ConfigError) as info:
             kepler_problem(e)
+        assert str(info.value) == f"eccentricity must lie in [0, 1), got {e!r}"
         assert isinstance(info.value, ValueError)
     kepler_problem(0.0)
+    kepler_problem(0)
+    np.testing.assert_array_equal(
+        kepler_problem(np.float64(0.5)).initial_state, kepler_problem(0.5).initial_state
+    )
 
 
 def test_kepler_invariant_values_at_start():
@@ -253,6 +259,12 @@ def test_polynomial_oscillator_validation():
         with pytest.raises(ConfigError, match="^degree must be one of 2, 4, 6, 8") as info:
             polynomial_oscillator(degree)
         assert isinstance(info.value, ValueError)
+    # a degree is a count, as everywhere else: no float, string or bool
+    for degree in (4.0, "4", True):
+        with pytest.raises(ConfigError) as info:
+            polynomial_oscillator(degree)
+        assert str(info.value) == f"degree must be an integer, got {degree!r}"
+    assert polynomial_oscillator(np.int64(4)).name == "oscillator4"
 
 
 def _shipped_problems():
