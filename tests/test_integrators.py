@@ -475,9 +475,10 @@ def test_nu2_runs_off_the_fingerprinted_path_are_pinned(s, k, r):
 # Runs on Kepler e = 0.6 from perihelion that take branches the fingerprints
 # do not reach, keyed by (invariants, s, k, r, h, n_steps): nu = 1 at s = 8,
 # where NumPy's column sum of the scaling products adds pairwise; nu = 1 on
-# the stacked path; and HBVM with k = 16, where OpenBLAS groups the k-term
-# sums by operand layout (see problems).  sha256 of the states, and of the
-# per-step alpha where there is one.
+# the stacked path; HBVM with k = 16, where OpenBLAS groups the k-term
+# sums by operand layout (see problems); and negative steps, where the
+# first stage array h ((I eta) @ 0) holds -0.0.  sha256 of the states, and
+# of the per-step alpha where there is one.
 OFF_PATH_RUN_SHA256 = {
     ("angular_momentum_only", 8, 12, 12, 0.2, 50): (
         "caae736a59651b74c7e2251d9388bbcedd65ca8ec96b30abe14dccafd3f6b96d",
@@ -490,12 +491,24 @@ OFF_PATH_RUN_SHA256 = {
     (None, 3, 16, None, 0.1, 100): (
         "b8432bfd0cdf6d1c9af8c2aa078a9f7ac31d99dc761178219cda09f35f22f2e8",
     ),
+    (None, 3, 12, None, -0.1, 100): (
+        "5cb395df94c34b38e5df78591e08c84179205a2c94d2eb41d1d9c05232d9637c",
+    ),
+    ("angular_momentum_and_lrl", 3, 12, 12, -0.1, 100): (
+        "81a0de2ef8c79e2d8285d3a906259640d9dbb9b4675e9af32a32fe0fb4e20537",
+        "18a478c6e7e4e1b570848b4df950b2c46c0d2a1201ffed52fde624afad7274bb",
+    ),
+    ("angular_momentum_only", 3, 12, 12, -0.1, 100): (
+        "6e5e4029036fc3b6b14a40ebf02e5d964fc96b86b8bdd53f279556fb38465ea5",
+        "3edf046dc4511cb7b79e7bced76154e6863e8082f203620891fa278b1d126cb1",
+    ),
 }
 
 
 @pytest.mark.parametrize(
     "which, s, k, r, h, n_steps", list(OFF_PATH_RUN_SHA256),
-    ids=["nu1-s8", "nu1-stacked-r8", "hbvm-k16"],
+    ids=["nu1-s8", "nu1-stacked-r8", "hbvm-k16", "hbvm-negative-h", "nu2-negative-h",
+         "nu1-negative-h"],
 )
 def test_runs_off_the_fingerprinted_path_are_pinned(which, s, k, r, h, n_steps):
     inv = kepler_invariants(which) if which else None
