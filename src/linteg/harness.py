@@ -30,6 +30,7 @@ from .problems import (
     ConfigError,
     HamiltonianProblem,
     InvariantSet,
+    _as_float,
     kepler_invariants,
     kepler_problem,
     polynomial_oscillator,
@@ -627,11 +628,11 @@ def _spec_from_args(args: argparse.Namespace, env_tol: Optional[float]) -> Exper
         horizon = parse_step_size(horizon)
     for key in ("eccentricity", "tol"):
         if key in values:
-            values[key] = float(values[key])
+            values[key] = _as_float(values[key], f"config key {key!r}")
     return ExperimentSpec(
         args.experiment,
-        step_sizes=tuple(float(h) for h in steps),
-        horizon=float(horizon),
+        step_sizes=tuple(_as_float(h, "config key 'steps'") for h in steps),
+        horizon=_as_float(horizon, "config key 'horizon'"),
         **values,
     )
 

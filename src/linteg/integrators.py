@@ -24,6 +24,7 @@ from .problems import (
     ConfigError,
     HamiltonianProblem,
     InvariantSet,
+    _as_float,
     _check_count,
     _is_real,
     apply_structure,
@@ -96,7 +97,7 @@ class MethodConfig:
                     f"conserving nu={nu} invariants needs s > nu, got s={self.s}"
                 )
         tol = self.fp_tolerance
-        if not (_is_real(tol) and 0.0 < tol < math.inf):
+        if not (_is_real(tol) and 0.0 < _as_float(tol, "fp_tolerance") < math.inf):
             raise ConfigError(f"fp_tolerance must be a positive finite number, got {tol!r}")
 
 
@@ -306,8 +307,15 @@ def _stepper(problem, invariants, config, h):
     # the ndarray.max and ndarray.sum wrappers are Python frames in front of
     # the same C routines, and at these sizes a sweep costs what its calls
     # cost.  test_sweeps_call_numpy_only_through_c holds this at nu = 0 and
-    # nu = 2.
+    # nu = 2.  Nor does the stage update or the residual broadcast: at k =
+    # 12, d = 4, U_next += y0 with y0 of shape (d,) goes through NumPy's
+    # general iterator in 1.27 us, against 0.39 us for a stage-shaped y0
+    # (and *= h with a float 0.68 against 0.43 us).  So H holds h and Y0
+    # the step's y0 in every row, in U's layout; a copy keeps y0's bits,
+    # where zero_stage + y0 would make a -0.0 of y0 +0.0 when h > 0.
     zero_stage = np.zeros((d, s)).dot(IetaT).T * h
+    H = np.full_like(zero_stage, h)
+    Y0 = np.empty_like(zero_stage)
 
     def step(y0):
         nonlocal eta_alpha
@@ -335,7 +343,8 @@ def _stepper(problem, invariants, config, h):
         # to spare for rounding, fails the exact test too.  Every sweep
         # count, and so every output, is the one the exact test on every
         # sweep gives.
-        U = zero_stage + y0
+        Y0[...] = y0
+        U = zero_stage + Y0
         bound = float(_amax(abs(y0), None))  # max|U|: every row of U is y0 + 0
 
         for sweeps in range(1, _MAX_SWEEPS + 1):
@@ -374,8 +383,8 @@ def _stepper(problem, invariants, config, h):
                     np.multiply(I_tail, eta_tail, out=Ieta_tail)
 
             U_next = G.T.dot(IetaT).T
-            U_next *= h
-            U_next += y0
+            U_next *= H
+            U_next += Y0
             U -= U_next  # |U - U_next| is |U_next - U| bit for bit
             residual = float(_amax(abs(U), None))
             U = U_next
@@ -421,7 +430,7 @@ def _validate(problem, config, nu, y0, h):
     config.validate(nu=nu)
     if not _is_real(h):
         raise ConfigError(f"step size must be a real number, got {h!r}")
-    h = float(h)
+    h = _as_float(h, "step size")
     if h == 0.0:
         raise ConfigError("step size must be nonzero")
     if not math.isfinite(h):

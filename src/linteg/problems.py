@@ -46,6 +46,14 @@ def _is_real(value):
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _as_float(value, name):
+    # float(value), refusing by name an integer too large for a float
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float") from None
+
+
 def apply_structure(grad: np.ndarray, m: int) -> np.ndarray:
     """Apply J = [[0, I_m], [-I_m, 0]] to (batches of) gradients."""
     out = np.empty_like(grad)
@@ -89,10 +97,13 @@ def _kepler_h(y: np.ndarray) -> np.ndarray:
 
 def _kepler_grad_h(y: np.ndarray) -> np.ndarray:
     # a C-ordered float64 copy of y (module docstring), its q half then
-    # overwritten with q / |q|^3 computed from the columns of y
+    # overwritten with q / |q|^3, column by column so that no call
+    # broadcasts.  np.power keeps the array power for a single state too.
     out = np.array(y, dtype=float, order="C")
-    q = y[..., :2]
-    np.divide(q, np.add.reduce(q * q, -1, keepdims=True) ** 1.5, out[..., :2])
+    q1, q2 = y[..., 0], y[..., 1]
+    r3 = np.power(q1 * q1 + q2 * q2, 1.5)
+    np.divide(q1, r3, out[..., 0])
+    np.divide(q2, r3, out[..., 1])
     return out
 
 
@@ -147,19 +158,18 @@ def _grad_angular_momentum_and_lrl(y: np.ndarray) -> np.ndarray:
     # both gradients written into one (..., 4, 2) array.  The LRL entries
     # are p1 p2 - q1 q2 / r^3, q1^2 / r^3 - p1^2, L - p1 q2 and p1 q1, with
     # L = q1 p2 - q2 p1.  Every product y_a y_b (b < 3) comes from one
-    # broadcast multiply and both quotients from one divide; each is
-    # correctly rounded, so this grouping gives the bits of the entry-by-
-    # entry formulas.  r^3 is a power of a component sum, as in those
-    # formulas: a single state then takes NumPy's scalar power and a batch
-    # its array power, which can differ in the last bit.
+    # broadcast multiply; each is correctly rounded, so this grouping gives
+    # the bits of the entry-by-entry formulas.  r^3 is a power of a
+    # component sum, as in those formulas: a single state then takes
+    # NumPy's scalar power and a batch its array power, which can differ in
+    # the last bit.
     yy = y[..., :, None] * y[..., None, :3]
     r3 = (yy[..., 0, 0] + yy[..., 1, 1]) ** 1.5
-    over_r3 = yy[..., 0, :2] / r3[..., None]
     p1q2 = yy[..., 2, 1]
     out = np.empty(y.shape + (2,))
     _grad_angular_momentum(y, out[..., 0])
-    np.subtract(yy[..., 3, 2], over_r3[..., 1], out=out[..., 0, 1])
-    np.subtract(over_r3[..., 0], yy[..., 2, 2], out=out[..., 1, 1])
+    np.subtract(yy[..., 3, 2], yy[..., 0, 1] / r3, out=out[..., 0, 1])
+    np.subtract(yy[..., 0, 0] / r3, yy[..., 2, 2], out=out[..., 1, 1])
     np.subtract(yy[..., 3, 0] - p1q2, p1q2, out=out[..., 2, 1])
     out[..., 3, 1] = yy[..., 2, 0]
     return out

@@ -414,6 +414,11 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         ({**valid, "method": "elim", "invariants": "L3"}, "unknown invariant selection 'L3'"),
         ({**valid, "problem": "pendulum"}, "unknown problem 'pendulum'"),
         ({**valid, "steps": []}, "need at least one step size"),
+        # JSON integers too large for a float
+        ({**valid, "tol": 10**400}, "config key 'tol' is too large for a float"),
+        ({**valid, "eccentricity": 10**400}, "config key 'eccentricity' is too large for a float"),
+        ({**valid, "horizon": 10**400}, "config key 'horizon' is too large for a float"),
+        ({**valid, "steps": [0.1, 10**400]}, "config key 'steps' is too large for a float"),
     )
     capsys.readouterr()
     for payload, message in cases:

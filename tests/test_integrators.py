@@ -721,7 +721,8 @@ def test_config_validation():
         MethodConfig(s=2, k=6, r=6).validate(nu=2)  # needs s > nu
     with pytest.raises(ConfigError):
         MethodConfig(s=3, k=6, r=2).validate(nu=1)  # r >= s
-    for tol in (0.0, np.inf, np.nan, "1e-14", True):
+    # 10**400 passes 0 < tol < inf but is too large for a float
+    for tol in (0.0, np.inf, np.nan, "1e-14", True, 10**400):
         with pytest.raises(ConfigError, match="^fp_tolerance"):
             MethodConfig(s=2, k=4, fp_tolerance=tol).validate(nu=0)
     MethodConfig(s=3, k=6, r=8).validate(nu=2)
@@ -771,6 +772,14 @@ def test_step_rejects_bad_inputs():
                     partial(elim_step, prob, inv, MethodConfig(s=2, k=4), prob.initial_state),
                     partial(integrate, prob, None, MethodConfig(s=2, k=4), n_steps=2)):
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                run(h=h)
+    # and one float() can hold: an integer past the float range is refused
+    # by name instead of raising OverflowError
+    for run in (partial(hbvm_step, prob, MethodConfig(s=2, k=4), prob.initial_state),
+                partial(elim_step, prob, inv, MethodConfig(s=2, k=4), prob.initial_state),
+                partial(integrate, prob, None, MethodConfig(s=2, k=4), n_steps=2)):
+        for h in (10**400, -(10**400)):
+            with pytest.raises(ConfigError, match="^step size is too large for a float$"):
                 run(h=h)
     # NumPy floats and integers are real numbers
     a = integrate(prob, None, MethodConfig(s=2, k=4), np.float64(0.1), 3)
