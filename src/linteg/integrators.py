@@ -20,6 +20,11 @@ from typing import Optional
 
 import numpy as np
 
+try:
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # NumPy 1.x
+    from numpy.core.multiarray import c_einsum
+
 from .problems import (
     ConfigError,
     HamiltonianProblem,
@@ -250,11 +255,11 @@ def _stepper(problem, invariants, config, h):
     """Build the sweep loop of a run of steps of size h; returns step(y0).
 
     What does not depend on the state (the operators, w, the noise scale,
-    J^T and the first stage array) is made here once, so a step runs only
-    its sweeps.  step(y0) returns (y1, sweeps, alpha, fallback, G, eta,
-    Gamma, rhs, fallback_sweeps): alpha, Gamma (row by row) and rhs are
-    lists of Python floats, and eta is the stepper's own array, which the
-    next step overwrites.
+    J^T, the first stage array and every array a sweep writes) is made here
+    once, so a step runs only its sweeps.  step(y0) returns (y1, sweeps,
+    alpha, fallback, G, eta, Gamma, rhs, fallback_sweeps): alpha, Gamma (row
+    by row) and rhs are lists of Python floats, and G and eta are the
+    stepper's own arrays, which the next step overwrites.
 
     At nu <= 2 the scaling system is formed in Python floats (at nu = 2
     all of it, in _scaling_system_nu2).  eta and I eta are rewritten only
@@ -277,6 +282,12 @@ def _stepper(problem, invariants, config, h):
     Ieta = I
     eta = np.ones(s)
     stacked = False
+    # G and, with invariants, Phi in one flat buffer, so that one call
+    # takes the absolute values of both for the noise floor; G_raw holds
+    # PTB_k @ grad H before J acts on it
+    GP = np.empty(s * d * (1 + nu))
+    G = GP[: s * d].reshape(s, d)
+    G_raw = np.empty((s, d))
     if nu:
         r = config.resolved_r()
         stacked = r != k
@@ -285,6 +296,14 @@ def _stepper(problem, invariants, config, h):
         if stacked:
             I = np.vstack((I, tab_r.I))
         gradients = invariants.gradients
+        # row j holds Phi[j, a, v] at a nu + v; Phi3 is the same (s, d, nu)
+        Phi = GP[s * d :].reshape(s, d * nu)
+        Phi3 = Phi.reshape(s, d, nu)
+        GP_abs = np.empty_like(GP)
+        G_abs, Phi_abs = GP_abs[: s * d], GP_abs[s * d :].reshape(s * d, nu)
+        # the nu noise-floor sums and, at nu != 2, the nu column sums of
+        # the products Phi G
+        floor, col_sums = np.empty(nu), np.empty(nu)
         # even powers h^(2(s-1-j)) for the corrected tail j = s-nu .. s-1
         w = ((h * h) ** np.arange(nu - 1, -1, -1)).tolist()
         # round-off scale of the rhs assembly: 4 s d terms per invariant
@@ -293,7 +312,8 @@ def _stepper(problem, invariants, config, h):
         # rewrites in place when alpha moves; eta_alpha is the alpha eta and
         # I eta were last built from (eta = 1 is alpha = 0)
         Ieta = I.copy()
-        I_tail, Ieta_tail, eta_tail = I[:, s - nu :], Ieta[:, s - nu :], eta[s - nu :]
+        I_tail = [I[:, j] for j in range(s - nu, s)]
+        Ieta_tail = [Ieta[:, j] for j in range(s - nu, s)]
         eta_alpha = [0.0] * nu
     IetaT = Ieta.T
 
@@ -306,16 +326,32 @@ def _stepper(problem, invariants, config, h):
     # ndarray.dot, maxima and sums ufunc.reduce.  np.dot's dispatcher and
     # the ndarray.max and ndarray.sum wrappers are Python frames in front of
     # the same C routines, and at these sizes a sweep costs what its calls
-    # cost.  test_sweeps_call_numpy_only_through_c holds this at nu = 0 and
-    # nu = 2.  Nor does the stage update or the residual broadcast: at k =
+    # cost.  test_sweeps_call_numpy_only_through_c holds this at nu = 0, 1
+    # and 2.  Nor does the stage update or the residual broadcast: at k =
     # 12, d = 4, U_next += y0 with y0 of shape (d,) goes through NumPy's
     # general iterator in 1.27 us, against 0.39 us for a stage-shaped y0
     # (and *= h with a float 0.68 against 0.43 us).  So H holds h and Y0
     # the step's y0 in every row, in U's layout; a copy keeps y0's bits,
     # where zero_stage + y0 would make a -0.0 of y0 +0.0 when h > 0.
+    #
+    # Nor does a sweep allocate an array the stepper can own: every product
+    # and ufunc but nu != 2's einsum writes through its out argument into
+    # the arrays made here.  G_raw, G, Phi and their absolute values
+    # (GP_abs) are rewritten each sweep, and I eta and eta each time alpha
+    # moves.  U and V are the two stage arrays: a sweep writes the next
+    # stage into V, turns U into |U - V| for the residual and swaps the
+    # names, and the exact bound writes |U| into the spare one.  The
+    # callables may return views of the stage array they are given, as
+    # everything read from them is projected before any stage array is
+    # written.  G and eta are returned as they are, so the next step
+    # overwrites what a caller holds.
     zero_stage = np.zeros((d, s)).dot(IetaT).T * h
     H = np.full_like(zero_stage, h)
     Y0 = np.empty_like(zero_stage)
+    # each stage array with its transpose, the out of the stage product:
+    # views made here once, where a .T per sweep costs 0.1 us or more
+    stages = [(U, U.T) for U in (np.empty_like(zero_stage), np.empty_like(zero_stage))]
+    GT = G.T
 
     def step(y0):
         nonlocal eta_alpha
@@ -343,32 +379,37 @@ def _stepper(problem, invariants, config, h):
         # to spare for rounding, fails the exact test too.  Every sweep
         # count, and so every output, is the one the exact test on every
         # sweep gives.
+        (U, UT), (V, VT) = stages
         Y0[...] = y0
-        U = zero_stage + Y0
-        bound = float(_amax(abs(y0), None))  # max|U|: every row of U is y0 + 0
+        np.add(zero_stage, Y0, U)
+        # max|U|: every row of U is y0 + 0.  Python's max is _amax on a
+        # finite y0; with a NaN in y0 every residual is NaN, which takes
+        # the exact test whatever the bound
+        bound = max(map(abs, y0.tolist()))
 
         for sweeps in range(1, _MAX_SWEEPS + 1):
             # gamma_j = J sum_i b_i P_j(c_i) grad H(u(c_i h)): J, a signed
             # permutation, acts on the s projected rows, not the k gradients
-            G = PTB_k.dot(grad_h(U[:k] if stacked else U)).dot(JT)
+            PTB_k.dot(grad_h(U[:k] if stacked else U), G_raw).dot(JT, G)
             if nu:
-                grads = gradients(U[-r:] if stacked else U).reshape(r, d * nu)
-                # row j holds Phi[j, a, v] at a nu + v
-                Phi = PTB_r.dot(grads)
+                PTB_r.dot(gradients(U[-r:] if stacked else U).reshape(r, d * nu), Phi)
                 # a NaN column makes its rhs entry NaN and the solve fall
                 # back, so Python's max, which can pass over a NaN, decides
                 # nothing np.max would not
-                rhs_noise = noise_scale * max(
-                    abs(G).ravel().dot(abs(Phi).reshape(s * d, nu)).tolist()
-                )
+                np.absolute(GP, GP_abs)
+                rhs_noise = noise_scale * max(G_abs.dot(Phi_abs, floor).tolist())
                 if nu == 2:
                     Gamma, rhs = _scaling_system_nu2(G, Phi, w)
                 else:
-                    prods = np.einsum("jdv,jd->jv", Phi.reshape(s, d, nu), G)
+                    # np.einsum enters two Python frames (its dispatcher
+                    # and its body) before it calls this C routine on the
+                    # same operands; c_einsum's out, a keyword, would cost
+                    # more than the array it saves
+                    prods = c_einsum("jdv,jd->jv", Phi3, G)
                     # NumPy's column sum, not a Python loop: at nu = 1 and
                     # s >= 8 it adds pairwise, an order a loop would not
                     # reproduce
-                    rhs = np.add.reduce(prods, 0).tolist()
+                    rhs = np.add.reduce(prods, 0, None, col_sums).tolist()
                     # Gamma[v][i] = w_i prods[s - nu + i][v]
                     tail = prods[s - nu :].tolist()
                     Gamma = [wi * row[v] for v in range(nu) for wi, row in zip(w, tail)]
@@ -377,21 +418,22 @@ def _stepper(problem, invariants, config, h):
                 # an equal alpha gives the same eta bit for bit
                 if alpha != eta_alpha:
                     eta_alpha = alpha
-                    # entry by entry: a list slice assignment costs twice as much
+                    # column by column with a Python float: multiplying the
+                    # tail block by eta's tail broadcasts
                     for i in range(nu):
-                        eta_tail[i] = 1.0 - w[i] * alpha[i]
-                    np.multiply(I_tail, eta_tail, out=Ieta_tail)
+                        e = eta[s - nu + i] = 1.0 - w[i] * alpha[i]
+                        np.multiply(I_tail[i], e, Ieta_tail[i])
 
-            U_next = G.T.dot(IetaT).T
-            U_next *= H
-            U_next += Y0
-            U -= U_next  # |U - U_next| is |U_next - U| bit for bit
-            residual = float(_amax(abs(U), None))
-            U = U_next
+            GT.dot(IetaT, VT)
+            V *= H
+            V += Y0
+            U -= V  # |U - V| is |V - U| bit for bit
+            residual = float(_amax(np.absolute(U, U), None))
+            U, UT, V, VT = V, VT, U, UT
             bound += 2.0 * residual
             # "not >" so that a NaN residual or bound takes the exact test
             if not residual > tol * (1.0 + bound) * 1.01:
-                bound = float(_amax(abs(U), None))
+                bound = float(_amax(np.absolute(U, V), None))
                 if residual <= tol * (1.0 + bound):
                     break
         else:

@@ -138,11 +138,11 @@ _L_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 _L_SIGNS.flags.writeable = False
 
 
-def _grad_angular_momentum(y: np.ndarray, out=None) -> np.ndarray:
-    # out, when given, is a (..., 4) array (or view) the gradient is written into
-    if out is None:
-        out = np.empty(y.shape)
-    return np.multiply(y[..., ::-1], _L_SIGNS, out=out)
+def _grad_angular_momentum(y: np.ndarray) -> np.ndarray:
+    # grad L as the nu = 1 gradient array (..., 4, 1), written in place
+    out = np.empty(y.shape + (1,))
+    np.multiply(y[..., ::-1], _L_SIGNS, out[..., 0])
+    return out
 
 
 def _lrl_scalar(y: np.ndarray) -> np.ndarray:
@@ -167,10 +167,10 @@ def _grad_angular_momentum_and_lrl(y: np.ndarray) -> np.ndarray:
     r3 = (yy[..., 0, 0] + yy[..., 1, 1]) ** 1.5
     p1q2 = yy[..., 2, 1]
     out = np.empty(y.shape + (2,))
-    _grad_angular_momentum(y, out[..., 0])
-    np.subtract(yy[..., 3, 2], yy[..., 0, 1] / r3, out=out[..., 0, 1])
-    np.subtract(yy[..., 0, 0] / r3, yy[..., 2, 2], out=out[..., 1, 1])
-    np.subtract(yy[..., 3, 0] - p1q2, p1q2, out=out[..., 2, 1])
+    np.multiply(y[..., ::-1], _L_SIGNS, out[..., 0])
+    np.subtract(yy[..., 3, 2], yy[..., 0, 1] / r3, out[..., 0, 1])
+    np.subtract(yy[..., 0, 0] / r3, yy[..., 2, 2], out[..., 1, 1])
+    np.subtract(yy[..., 3, 0] - p1q2, p1q2, out[..., 2, 1])
     out[..., 3, 1] = yy[..., 2, 0]
     return out
 
@@ -185,7 +185,7 @@ def kepler_invariants(which: str) -> InvariantSet:
         return InvariantSet(
             nu=1,
             values=lambda y: _angular_momentum(y)[..., None],
-            gradients=lambda y: _grad_angular_momentum(y)[..., None],
+            gradients=_grad_angular_momentum,
         )
     if which == "angular_momentum_and_lrl":
         return InvariantSet(

@@ -324,6 +324,30 @@ def test_dead_worker_fails_and_leaves_no_child(tmp_path, monkeypatch, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_operators_too_large_to_allocate_fail_with_exit_1(tmp_path, monkeypatch, capsys):
+    # a method whose operators NumPy cannot allocate (tableau -s 3 -k
+    # 300000 asks for 671 GiB) exits 1 with one error line, from this
+    # process and from a worker alike; the stand-in allocates nothing
+    _two_cpus(monkeypatch)
+
+    def too_large(k, s):
+        raise MemoryError(f"Unable to allocate the k={k}, s={s} operators")
+
+    monkeypatch.setattr(harness, "build_hbvm_tableau", too_large)
+    monkeypatch.setattr(linteg.integrators, "build_hbvm_tableau", too_large)
+    out = tmp_path / "x.csv"
+    for argv in (
+        ["tableau", "-s", "3", "-k", "300000"],
+        ["drift", "--method", "hbvm", "-s", "3", "-k", "200000",
+         "--steps", "0.1", "--horizon", "0.2", "--out", str(out)],
+        ["iterations", "--method", "hbvm", "-s", "3", "-k", "200000",
+         "--steps", "0.1,0.05", "--horizon", "0.2", "--out", str(out)],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate the k=")
+        assert not out.exists()
+
+
 class _Interrupt(BaseException):
     """Stands for an interrupt: no Exception, so _outcome lets it through."""
 

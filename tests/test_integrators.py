@@ -898,17 +898,47 @@ def _numpy_frames(run):
 
 @pytest.mark.parametrize(
     "invariants, r",
-    [(None, None), ("angular_momentum_and_lrl", 12), ("angular_momentum_and_lrl", 8)],
-    ids=["hbvm", "elim_nu2", "elim_nu2_stacked"],
+    [
+        (None, None),
+        ("angular_momentum_only", 12),
+        ("angular_momentum_only", 8),
+        ("angular_momentum_and_lrl", 12),
+        ("angular_momentum_and_lrl", 8),
+    ],
+    ids=["hbvm", "elim_nu1", "elim_nu1_stacked", "elim_nu2", "elim_nu2_stacked"],
 )
 def test_sweeps_call_numpy_only_through_c(invariants, r):
     # A sweep costs what its NumPy calls cost, and a call through a Python
-    # wrapper (np.dot's dispatcher, ndarray.max, ndarray.sum) costs a quarter
-    # of a microsecond more than the C entry point under it (ndarray.dot,
-    # ufunc.reduce).  So no step may enter a NumPy Python frame: the count is
-    # the same for 10 steps as for 20.  nu = 1 is exempt until its einsum
-    # goes (ROADMAP item 5(d)).
+    # wrapper (np.dot's dispatcher, ndarray.max, ndarray.sum, np.einsum)
+    # costs a quarter of a microsecond or more than the C entry point under
+    # it (ndarray.dot, ufunc.reduce, c_einsum).  So no step may enter a
+    # NumPy Python frame: the count is the same for 10 steps as for 20.
     inv = kepler_invariants(invariants) if invariants else None
     run = partial(integrate, kepler_problem(0.6), inv, MethodConfig(s=3, k=12, r=r), 0.1)
     run(1)  # builds and caches the tableau
     assert _numpy_frames(partial(run, 10)) == _numpy_frames(partial(run, 20))
+
+
+@pytest.mark.parametrize(
+    "nu, r", [(0, None), (1, 12), (1, 8)], ids=["hbvm", "elim_nu1", "elim_nu1_stacked"]
+)
+def test_callables_may_return_views_of_the_stage_array(nu, r):
+    # The stepper writes each sweep's stages into arrays it reuses, so a
+    # callable that hands back (a view of) the stage array it was given
+    # must still give the run of one that copies, bit for bit.  Here H =
+    # |y|^2 / 2, whose gradient is the state itself, is also the invariant:
+    # its scaling system is zero in exact arithmetic and falls back, but its
+    # rhs, noise floor and fallback flags are still read from the views.
+    def run(grad, inv_grad):
+        problem = HamiltonianProblem(
+            "quadratic", 2, lambda y: 0.5 * np.sum(y * y, axis=-1), grad,
+            np.array([1.0, 0.5, -0.25, 0.75]),
+        )
+        inv = InvariantSet(1, lambda y: 0.5 * np.sum(y * y, axis=-1)[..., None], inv_grad)
+        return integrate(problem, inv if nu else None, MethodConfig(s=3, k=12, r=r), 0.1, 30)
+
+    views = run(lambda y: y, lambda y: y[..., None])
+    # copies in the layout of the views, which the projections see
+    copies = run(lambda y: y.copy("K"), lambda y: y[..., None].copy("K"))
+    for name in ("states", "iterations", "alpha", "fallback"):
+        assert getattr(views, name).tobytes() == getattr(copies, name).tobytes(), name
