@@ -121,6 +121,8 @@ class ExperimentSpec:
             raise ConfigError("the elim method needs --invariants L1 or L1L2")
         if self.method != "elim" and self.invariants != "none":
             raise ConfigError("--invariants requires --method elim")
+        if self.method != "elim" and self.r is not None:
+            raise ConfigError("-r requires --method elim")
         if self.invariants != "none" and self.problem != "kepler":
             raise ConfigError("invariant selections are defined for the kepler problem")
         if self.experiment != "tableau":

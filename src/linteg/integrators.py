@@ -86,21 +86,18 @@ class MethodConfig:
         return self.k if self.r is None else self.r
 
     def validate(self, nu: int = 0) -> None:
-        for name, value in (("s", self.s), ("k", self.k), ("r", self.resolved_r())):
+        for name, value in ("s", self.s), ("k", self.k), ("r", self.resolved_r()), ("nu", nu):
             _check_count(name, value)
         if self.s < 1:
             raise ConfigError(f"need s >= 1, got s={self.s}")
         if self.k < self.s:
             raise ConfigError(f"need k >= s, got k={self.k}, s={self.s}")
-        if nu > 0:
-            if self.resolved_r() < self.s:
-                raise ConfigError(
-                    f"need r >= s, got r={self.resolved_r()}, s={self.s}"
-                )
-            if self.s <= nu:
-                raise ConfigError(
-                    f"conserving nu={nu} invariants needs s > nu, got s={self.s}"
-                )
+        if self.resolved_r() < self.s:
+            raise ConfigError(f"need r >= s, got r={self.resolved_r()}, s={self.s}")
+        if nu < 0:
+            raise ConfigError(f"need nu >= 0, got nu={nu}")
+        if nu > 0 and self.s <= nu:
+            raise ConfigError(f"conserving nu={nu} invariants needs s > nu, got s={self.s}")
         tol = self.fp_tolerance
         if not (_is_real(tol) and 0.0 < _as_float(tol, "fp_tolerance") < math.inf):
             raise ConfigError(f"fp_tolerance must be a positive finite number, got {tol!r}")
@@ -108,7 +105,13 @@ class MethodConfig:
 
 @dataclass
 class StepWorkspace:
-    """Converged per-step internals, mainly for diagnostics and tests."""
+    """Converged internals of one step, mainly for diagnostics and tests.
+
+    A stepper owns one record and rewrites it, arrays included, on every
+    step: gamma and eta are its sweep buffers, and alpha (nu,), Gamma (nu, nu)
+    and rhs (nu,) are filled in place.  A caller who keeps a record past the
+    next step copies it; after a NonConvergence it describes no step.
+    """
 
     gamma: np.ndarray
     eta: np.ndarray
@@ -255,11 +258,9 @@ def _stepper(problem, invariants, config, h):
     """Build the sweep loop of a run of steps of size h; returns step(y0).
 
     What does not depend on the state (the operators, w, the noise scale,
-    J^T, the first stage array and every array a sweep writes) is made here
-    once, so a step runs only its sweeps.  step(y0) returns (y1, sweeps,
-    alpha, fallback, G, eta, Gamma, rhs, fallback_sweeps): alpha, Gamma (row
-    by row) and rhs are lists of Python floats, and G and eta are the
-    stepper's own arrays, which the next step overwrites.
+    J^T, the first stage array, every array a sweep writes and the
+    StepWorkspace record) is made here once, so a step runs only its
+    sweeps.  step(y0) returns (y1, record).
 
     At nu <= 2 the scaling system is formed in Python floats (at nu = 2
     all of it, in _scaling_system_nu2).  eta and I eta are rewritten only
@@ -343,8 +344,7 @@ def _stepper(problem, invariants, config, h):
     # names, and the exact bound writes |U| into the spare one.  The
     # callables may return views of the stage array they are given, as
     # everything read from them is projected before any stage array is
-    # written.  G and eta are returned as they are, so the next step
-    # overwrites what a caller holds.
+    # written.
     zero_stage = np.zeros((d, s)).dot(IetaT).T * h
     H = np.full_like(zero_stage, h)
     Y0 = np.empty_like(zero_stage)
@@ -352,14 +352,14 @@ def _stepper(problem, invariants, config, h):
     # views made here once, where a .T per sweep costs 0.1 us or more
     stages = [(U, U.T) for U in (np.empty_like(zero_stage), np.empty_like(zero_stage))]
     GT = G.T
+    record = StepWorkspace(G, eta, np.zeros(nu), np.zeros((nu, nu)), np.zeros(nu), 0, False)
+    Gamma_flat = record.Gamma.reshape(nu * nu)
 
     def step(y0):
         nonlocal eta_alpha
         # The scaling system (Gamma, rhs, alpha) is kept in Python floats:
         # at nu <= 2 a handful of float operations cost less than NumPy calls.
         alpha = [0.0] * nu
-        Gamma = [0.0] * (nu * nu)
-        rhs = [0.0] * nu
         fallback = False
         fallback_sweeps = 0
 
@@ -443,28 +443,23 @@ def _stepper(problem, invariants, config, h):
                 residual=residual,
                 iterations=_MAX_SWEEPS,
             )
-        return y0 + h * G[0], sweeps, alpha, fallback, G, eta, Gamma, rhs, fallback_sweeps
+        if nu:
+            record.alpha[:] = alpha
+            Gamma_flat[:] = Gamma
+            record.rhs[:] = rhs
+        record.iterations = sweeps
+        record.gamma_fallback_used = fallback
+        record.fallback_sweeps = fallback_sweeps
+        return y0 + h * G[0], record
 
     return step
 
 
 def _one_step(problem, invariants, config, y0, h):
-    """One validated step through a fresh stepper, with its StepWorkspace."""
+    """One validated step through a fresh stepper; returns (y1, its record)."""
     nu = invariants.nu if invariants is not None else 0
     y0, h = _validate(problem, config, nu, y0, h)
-    step = _stepper(problem, invariants, config, h)
-    y1, sweeps, alpha, fallback, G, eta, Gamma, rhs, fallback_sweeps = step(y0)
-    workspace = StepWorkspace(
-        gamma=G,
-        eta=eta,
-        alpha=np.array(alpha),
-        Gamma=np.array(Gamma).reshape(nu, nu),
-        rhs=np.array(rhs),
-        iterations=sweeps,
-        gamma_fallback_used=bool(fallback),
-        fallback_sweeps=int(fallback_sweeps),
-    )
-    return y1, workspace
+    return _stepper(problem, invariants, config, h)(y0)
 
 
 def _validate(problem, config, nu, y0, h):
@@ -510,7 +505,8 @@ def elim_step(
     h: float,
 ):
     """One step conserving the Hamiltonian and the given invariants; returns (y1, workspace)."""
-    if invariants is None or invariants.nu < 1:
+    # a nu that is no number is left to MethodConfig.validate to name
+    if invariants is None or (_is_real(invariants.nu) and invariants.nu < 1):
         raise ConfigError("elim_step needs an InvariantSet with nu >= 1")
     return _one_step(problem, invariants, config, y0, h)
 
@@ -543,7 +539,7 @@ def integrate(
     step = _stepper(problem, invariants, config, h)
     for i in range(n_steps):
         try:
-            y, iterations[i], alpha, fallbacks[i] = step(y)[:4]
+            y, record = step(y)
         except NonConvergence as exc:
             raise NonConvergence(
                 f"step {i + 1} of {n_steps}: {exc}",
@@ -552,8 +548,10 @@ def integrate(
                 step_index=i + 1,
             ) from exc
         states[i + 1] = y
+        iterations[i] = record.iterations
+        fallbacks[i] = record.gamma_fallback_used
         if nu:
-            alphas[i] = alpha
+            alphas[i] = record.alpha
 
     times = h * np.arange(n_steps + 1)
     h_vals = problem.hamiltonian(states)

@@ -260,6 +260,30 @@ def test_validation_fails_before_writing(tmp_path, capsys, monkeypatch):
     assert "pass --out" in captured.err
 
 
+def test_node_count_r_is_an_elim_setting_of_at_least_s(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    run = ["--steps", "0.1", "--horizon", "0.2", "--out", str(out)]
+    for method, r, message in (
+        ("hbvm", "-5", "-r requires --method elim"),
+        ("gauss", "3", "-r requires --method elim"),
+        ("elim", "-5", "need r >= s, got r=-5, s=3"),
+    ):
+        flags = ["--method", method, "-s", "3", "-r", r]
+        if method != "gauss":
+            flags += ["-k", "12"]
+        if method == "elim":
+            flags += ["--invariants", "L1"]
+        assert main(["iterations", *flags, *run]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    spec = ExperimentSpec("iterations", method="hbvm", k=12, r=12, step_sizes=(0.1,),
+                          horizon=0.2)
+    with pytest.raises(ConfigError, match="^-r requires --method elim$"):
+        spec.validate()
+
+
 def test_nonconvergence_exit_code(tmp_path, capsys):
     out = tmp_path / "fail.csv"
     code = main([

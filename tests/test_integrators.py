@@ -5,6 +5,7 @@ import os
 import re
 import struct
 import sys
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -17,6 +18,7 @@ from linteg.integrators import (
     _max_steps,
     _scaling_system_nu2,
     _solve_scaling,
+    _stepper,
     _structure_transpose,
     elim_step,
     hbvm_step,
@@ -745,6 +747,25 @@ def test_config_validation():
     a = integrate(prob, inv, numpy_ints, 0.1, np.int64(3))
     b = integrate(prob, inv, MethodConfig(3, 12, 12), 0.1, 3)
     np.testing.assert_array_equal(a.states, b.states)
+    # r >= s holds whenever r is given, with or without invariants
+    config = MethodConfig(3, 12, r=-5)
+    for run in (config.validate, partial(integrate, prob, None, config, 0.1, 2),
+                partial(hbvm_step, prob, config, prob.initial_state, 0.1)):
+        with pytest.raises(ConfigError, match=r"^need r >= s, got r=-5, s=3$"):
+            run()
+    # a malformed nu is a ConfigError naming it before any sweep, not a NumPy error
+    one = kepler_invariants("angular_momentum_only")
+    for nu, message, elim_message in (
+        (1.0, "nu must be an integer, got 1.0", None),
+        (True, "nu must be an integer, got True", None),
+        ("1", "nu must be an integer, got '1'", None),
+        (-1, "need nu >= 0, got nu=-1", "elim_step needs an InvariantSet with nu >= 1"),
+    ):
+        bad = InvariantSet(nu, one.values, one.gradients)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            integrate(prob, bad, MethodConfig(3, 12), 0.1, 2)
+        with pytest.raises(ConfigError, match=f"^{re.escape(elim_message or message)}$"):
+            elim_step(prob, bad, MethodConfig(3, 12), prob.initial_state, 0.1)
 
 
 def test_step_rejects_bad_inputs():
@@ -942,3 +963,65 @@ def test_callables_may_return_views_of_the_stage_array(nu, r):
     copies = run(lambda y: y.copy("K"), lambda y: y[..., None].copy("K"))
     for name in ("states", "iterations", "alpha", "fallback"):
         assert getattr(views, name).tobytes() == getattr(copies, name).tobytes(), name
+
+
+def _record_bytes(record):
+    return [np.asarray(getattr(record, f.name)).tobytes() for f in fields(record)]
+
+
+@pytest.mark.parametrize("invariants", [None, "angular_momentum_only", "angular_momentum_and_lrl"])
+def test_a_stepper_rewrites_its_one_record_in_place(invariants):
+    inv = kepler_invariants(invariants) if invariants else None
+    nu = inv.nu if inv else 0
+    prob = kepler_problem(0.6)
+    step = _stepper(prob, inv, MethodConfig(s=3, k=12), 0.1)
+    y1, record = step(prob.initial_state)
+    arrays = [record.gamma, record.eta, record.alpha, record.Gamma, record.rhs]
+    assert [a.shape for a in arrays[2:]] == [(nu,), (nu, nu), (nu,)]
+    before = _record_bytes(record)
+    _, again = step(y1)
+    assert again is record
+    assert all(a is b for a, b in zip(arrays, [record.gamma, record.eta, record.alpha,
+                                               record.Gamma, record.rhs]))
+    # the second step's internals replace the first's
+    assert _record_bytes(record)[0] != before[0]
+    if nu:
+        assert _record_bytes(record)[2:5] != before[2:5]
+
+
+def test_single_steps_return_records_of_their_own():
+    prob = kepler_problem(0.6)
+    inv = kepler_invariants("angular_momentum_and_lrl")
+    for step in (partial(hbvm_step, prob, MethodConfig(s=3, k=12)),
+                 partial(elim_step, prob, inv, MethodConfig(s=3, k=12))):
+        y1, first = step(prob.initial_state, 0.1)
+        before = _record_bytes(first)
+        _, second = step(y1, 0.1)
+        assert second is not first
+        assert _record_bytes(first) == before
+        assert _record_bytes(second) != before
+
+
+@pytest.mark.parametrize(
+    "invariants, r",
+    [(None, None), ("angular_momentum_only", 12), ("angular_momentum_only", 8),
+     ("angular_momentum_and_lrl", 12)],
+    ids=["nu0", "nu1", "nu1_stacked", "nu2"],
+)
+def test_integrate_bookkeeping_is_the_records_of_its_steps(invariants, r):
+    prob = kepler_problem(0.6)
+    inv = kepler_invariants(invariants) if invariants else None
+    config = MethodConfig(s=3, k=12, r=r)
+    traj = integrate(prob, inv, config, 0.1, 30)
+    step = partial(elim_step, prob, inv) if inv else partial(hbvm_step, prob)
+    y, states, iterations, alphas, fallbacks = prob.initial_state, [], [], [], []
+    for _ in range(30):
+        y, record = step(config, y, 0.1)
+        states.append(y)
+        iterations.append(record.iterations)
+        alphas.append(record.alpha)
+        fallbacks.append(record.gamma_fallback_used)
+    assert traj.states[1:].tobytes() == np.array(states).tobytes()
+    assert traj.iterations.tolist() == iterations
+    assert traj.alpha.tobytes() == np.array(alphas).reshape(30, -1).tobytes()
+    assert traj.fallback.tolist() == fallbacks
