@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .integrators import MethodConfig, Trajectory, integrate
-from .problems import HamiltonianProblem, InvariantSet
+from .problems import HamiltonianProblem, InvariantSet, _facts
 
 __all__ = [
     "DriftReport",
@@ -54,12 +54,13 @@ def reference_solution(
 ) -> np.ndarray:
     """Reference terminal state at t = horizon.
 
-    The Kepler orbit is 2 pi periodic, so whole-period horizons return the
-    initial state; anything else is integrated with the (12, 6) method at
-    h_ref (order 12), adjusted to land exactly on the horizon.
+    A whole number of the problem's periods returns the initial state;
+    anything else is integrated with the (12, 6) method at h_ref (order 12),
+    adjusted to land exactly on the horizon.
     """
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    for name, value in (("horizon", horizon), ("h_ref", h_ref)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     n = _reference_steps(problem, h_ref, horizon)
     if n == 0:
         return problem.initial_state.copy()
@@ -70,9 +71,10 @@ def reference_solution(
 
 def _reference_steps(problem: HamiltonianProblem, h_ref: float, horizon: float) -> int:
     """Steps reference_solution integrates: 0 where the horizon is a whole
-    number of Kepler periods."""
-    if problem.name == "kepler":
-        periods = horizon / (2.0 * math.pi)
+    number of the problem's periods."""
+    period = _facts(problem.name).period
+    if period is not None:
+        periods = horizon / period
         if abs(periods - round(periods)) <= 1e-9 * max(1.0, abs(periods)):
             return 0
     return max(1, int(round(horizon / h_ref)))

@@ -26,26 +26,13 @@ import numpy as np
 
 from .analysis import _reference_steps, drift_report, max_norm_error, reference_solution
 from .integrators import MethodConfig, NonConvergence, _max_steps, integrate
-from .problems import (
-    ConfigError,
-    HamiltonianProblem,
-    InvariantSet,
-    _as_float,
-    kepler_invariants,
-    kepler_problem,
-    polynomial_oscillator,
-)
+from .problems import ConfigError, HamiltonianProblem, InvariantSet, _as_float
+from .problems import _facts, _invariant_labels, _named_problem
 from .tableau import build_hbvm_tableau, tableau_to_json
 
 __all__ = ["ExperimentSpec", "main", "parse_step_size", "run_experiment"]
 
 _METHODS = ("gauss", "hbvm", "elim")
-# each --invariants label and the kepler_invariants selection that imposes it
-_INVARIANTS = {
-    "none": None,
-    "L1": "angular_momentum_only",
-    "L1L2": "angular_momentum_and_lrl",
-}
 
 _PI_PATTERN = re.compile(
     r"^\s*(?P<num>[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)?\s*\*?\s*pi\s*"
@@ -112,7 +99,7 @@ class ExperimentSpec:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.invariants not in _INVARIANTS:
+        if self.invariants not in _invariant_labels():
             raise ConfigError(f"unknown invariant selection {self.invariants!r}")
         self.build_problem()
         if self.method == "gauss" and self.k is not None and self.k != self.s:
@@ -123,7 +110,7 @@ class ExperimentSpec:
             raise ConfigError("--invariants requires --method elim")
         if self.method != "elim" and self.r is not None:
             raise ConfigError("-r requires --method elim")
-        if self.invariants != "none" and self.problem != "kepler":
+        if self.invariants != "none" and self.invariants not in _facts(self.problem).invariants:
             raise ConfigError("invariant selections are defined for the kepler problem")
         if self.experiment != "tableau":
             if not self.step_sizes:
@@ -167,17 +154,10 @@ class ExperimentSpec:
         )
 
     def build_problem(self) -> HamiltonianProblem:
-        if self.problem == "kepler":
-            return kepler_problem(self.eccentricity)
-        # oscillator<degree>: no leading zero, and at most four digits, as int()
-        # refuses a string of thousands; polynomial_oscillator checks the value
-        if not re.fullmatch(r"oscillator[1-9][0-9]{0,3}", self.problem):
-            raise ConfigError(f"unknown problem {self.problem!r}")
-        return polynomial_oscillator(int(self.problem.removeprefix("oscillator")))
+        return _named_problem(self.problem, self.eccentricity)
 
     def build_invariants(self) -> Optional[InvariantSet]:
-        selection = _INVARIANTS[self.invariants]
-        return kepler_invariants(selection) if selection else None
+        return _facts(self.problem).invariants.get(self.invariants)
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -351,14 +331,11 @@ def _run_drift(spec: ExperimentSpec, out: Path) -> None:
 
 def _write_drift(spec: ExperimentSpec, traj, out: Path) -> None:
     h, n = traj.h, traj.iterations.size
-    # every invariant the problem defines is reported, whatever is imposed
-    kepler = spec.problem == "kepler"
-    labels = ("L1", "L2") if kepler else ()
-    monitored = kepler_invariants(_INVARIANTS["L1L2"]) if kepler else None
-    report = drift_report(traj, spec.build_problem(), monitored)
+    facts = _facts(spec.problem)  # its monitors are reported whatever the method imposes
+    report = drift_report(traj, spec.build_problem(), facts.invariants.get(facts.monitored))
     nu = spec.nu()
     header = (
-        ["n", "t", "h_error"] + [f"err_{lab}" for lab in labels] + _alpha_names(nu)
+        ["n", "t", "h_error"] + [f"err_{lab}" for lab in facts.monitors] + _alpha_names(nu)
         + ["iterations", "fallback"]
     )
     rows = []
@@ -376,7 +353,7 @@ def _write_drift(spec: ExperimentSpec, traj, out: Path) -> None:
         f"h={_fmt(h)}  n={n}  max|H err|={_fmt(report.h_max)}  "
         f"H slope={_fmt(report.h_slope)}  iterations={traj.iteration_total}"
     )
-    for v, lab in enumerate(labels):
+    for v, lab in enumerate(facts.monitors):
         print(
             f"max|{lab} err|={_fmt(report.invariant_max[v])}  "
             f"{lab} slope={_fmt(report.invariant_slopes[v])}"
@@ -549,6 +526,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON file with defaults; flags override it")
         for key, (flag, _, options) in _SETTINGS.items():
+            if key == "invariants":  # read now, as problems may have gained labels
+                options = dict(options, choices=_invariant_labels())
             if name != "tableau" or key not in ("steps", "horizon"):
                 p.add_argument(flag, dest=key, **options)
 
@@ -581,8 +560,7 @@ _SETTINGS = {
     "s": ("-s", ("an integer",), dict(type=int, help="polynomial degree count (order 2s)")),
     "k": ("-k", ("an integer", "null"), dict(type=int, help="Gauss nodes for the Hamiltonian")),
     "r": ("-r", ("an integer", "null"), dict(type=int, help="Gauss nodes for the invariants")),
-    "invariants": ("--invariants", ("a string",),
-                   dict(choices=tuple(_INVARIANTS), help="invariants the method imposes")),
+    "invariants": ("--invariants", ("a string",), dict(help="invariants the method imposes")),
     "tol": ("--tol", ("a number",), dict(type=float, help="fixed-point tolerance")),
     "out": ("--out", ("a string",), dict(help="output file path")),
     "steps": ("--steps", ("a string", "a list of numbers"),

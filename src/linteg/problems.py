@@ -15,6 +15,8 @@ of a gradient array is part of the last bits of a step.
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -226,3 +228,39 @@ def polynomial_oscillator(degree: int) -> HamiltonianProblem:
         grad_h=grad,
         initial_state=y0,
     )
+
+
+# Each problem's facts beyond its record, by HamiltonianProblem.name (also its
+# --problem value): `build` makes the record from --eccentricity, `invariants`
+# holds its invariant sets by --invariants label, the drift CSV reports the set
+# labelled `monitored` under the names `monitors`, and the exact flow is back at
+# the initial state after each `period`.  A new problem is one entry; other
+# names (the oscillators) have none.
+_Facts = namedtuple("_Facts", "build invariants monitored monitors period", defaults=(None, (), None))
+_PROBLEMS = {
+    "kepler": _Facts(
+        kepler_problem,
+        {"L1": kepler_invariants("angular_momentum_only"),
+         "L1L2": kepler_invariants("angular_momentum_and_lrl")},
+        monitored="L1L2", monitors=("L1", "L2"), period=2.0 * np.pi,
+    ),
+}
+
+
+def _facts(name: str) -> _Facts:
+    return _PROBLEMS.get(name, _Facts(None, {}))
+
+
+def _invariant_labels() -> tuple:
+    return ("none", *dict.fromkeys(label for f in _PROBLEMS.values() for label in f.invariants))
+
+
+def _named_problem(name: str, eccentricity: float) -> HamiltonianProblem:
+    """The record a --problem name gives: a table entry, or oscillator<degree>."""
+    if name in _PROBLEMS:
+        return _PROBLEMS[name].build(eccentricity)
+    # no leading zero, and at most four digits, as int() refuses a string of
+    # thousands; polynomial_oscillator checks the value
+    if not re.fullmatch(r"oscillator[1-9][0-9]{0,3}", name):
+        raise ConfigError(f"unknown problem {name!r}")
+    return polynomial_oscillator(int(name.removeprefix("oscillator")))

@@ -15,7 +15,12 @@ from linteg.analysis import (
     reference_solution,
 )
 from linteg.integrators import MethodConfig, integrate
-from linteg.problems import kepler_invariants, kepler_problem
+from linteg.problems import (
+    HamiltonianProblem,
+    kepler_invariants,
+    kepler_problem,
+    polynomial_oscillator,
+)
 
 
 def test_estimate_orders_recovers_exponent():
@@ -53,10 +58,35 @@ def test_reference_solution_fractional_horizon_consistency():
     assert not np.array_equal(a, prob.initial_state)
 
 
+def test_reference_solution_whole_periods_survive_a_rebuilt_record():
+    # a record rebuilt from its constructor fields, as a caller that wraps
+    # the callables makes it, keeps the exact reference: the period is a
+    # fact of the problem's name, not a field that the rebuild would drop
+    base = kepler_problem(0.6)
+    c, s = math.cos(1.3), math.sin(1.3)
+    rot = np.array([[c, -s], [s, c]])
+    rotated = np.concatenate([rot @ base.initial_state[:2], rot @ base.initial_state[2:]])
+    for y0 in (base.initial_state, rotated):
+        rebuilt = HamiltonianProblem(
+            name=base.name, m=base.m, hamiltonian=base.hamiltonian, grad_h=base.grad_h,
+            initial_state=y0,
+        )
+        for periods in (1, 3):
+            ref = reference_solution(rebuilt, h_ref=math.pi / 480, horizon=periods * 2 * math.pi)
+            np.testing.assert_array_equal(ref, y0)
+
+
 def test_reference_solution_validation():
-    prob = kepler_problem(0.3)
-    with pytest.raises(ValueError):
-        reference_solution(prob, h_ref=0.01, horizon=0.0)
+    # each bad argument is named, whether or not the horizon is a whole
+    # number of periods (which the Kepler orbit's 2 pi is)
+    for prob in (kepler_problem(0.3), polynomial_oscillator(4)):
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {bad}"):
+                reference_solution(prob, h_ref=0.01, horizon=bad)
+        for horizon in (1.0, 2.0 * math.pi):
+            for bad in (0.0, -0.1, math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"h_ref must be positive and finite, got {bad}"):
+                    reference_solution(prob, h_ref=bad, horizon=horizon)
 
 
 def test_drift_slope_on_synthetic_data():

@@ -17,11 +17,14 @@ import numpy as np
 import pytest
 
 import linteg
-from linteg import harness
+from linteg import harness, problems
+from linteg.analysis import max_norm_error, reference_solution
 from linteg.harness import ExperimentSpec, main, parse_step_size
 from linteg.integrators import MethodConfig, NonConvergence, integrate
 from linteg.problems import (
     ConfigError,
+    HamiltonianProblem,
+    InvariantSet,
     kepler_invariants,
     kepler_problem,
     polynomial_oscillator,
@@ -698,3 +701,131 @@ def test_reproduce_paper_integrates_each_run_once(tmp_path, monkeypatch):
     calls = logged_calls()
     assert len(calls) == 4 * 2 + 4 and set(calls.values()) == {1}
     assert {config.fp_tolerance for config, _, _ in calls} == {1e-13}
+
+
+def _isotropic_oscillator(eccentricity):
+    """H = (|q|^2 + |p|^2) / 2 in the plane: every orbit is an ellipse of period 2 pi."""
+    y0 = np.array([1.0, 0.0, 0.0, 0.5])
+    y0.flags.writeable = False
+    return HamiltonianProblem(
+        name="isotropic", m=2, hamiltonian=lambda y: 0.5 * np.sum(np.square(y), axis=-1),
+        grad_h=lambda y: np.array(y, dtype=float, order="C"), initial_state=y0,
+    )
+
+
+_ANGULAR_MOMENTUM = InvariantSet(
+    nu=1,
+    values=lambda y: (y[..., 0] * y[..., 3] - y[..., 1] * y[..., 2])[..., None],
+    gradients=lambda y: np.stack([y[..., 3], -y[..., 2], -y[..., 1], y[..., 0]], axis=-1)[..., None],
+)
+
+
+def test_a_problem_added_to_the_problems_table_runs_every_subcommand(tmp_path, monkeypatch, capsys):
+    # only linteg.problems learns of the problem: the harness reads its
+    # record, invariant labels, drift monitors and period from there
+    facts = problems._Facts(
+        build=_isotropic_oscillator, invariants={"Lz": _ANGULAR_MOMENTUM}, monitored="Lz",
+        monitors=("Lz",), period=2.0 * math.pi,
+    )
+    monkeypatch.setitem(problems._PROBLEMS, "isotropic", facts)
+    problem = _isotropic_oscillator(0.6)
+    y0 = problem.initial_state
+    toy = ["--problem", "isotropic", "-s", "3", "-k", "6"]
+    elim = ["--method", "elim", "--invariants", "Lz"]
+
+    # two periods: the reference is the initial state, exactly
+    np.testing.assert_array_equal(reference_solution(problem, 0.1, 4 * math.pi), y0)
+    conv = tmp_path / "conv.csv"
+    run = ["--steps", "pi/8,pi/16", "--horizon", "4pi", "--out", str(conv)]
+    assert main(["convergence", *toy, *run]) == 0
+    for row, n in zip(_read_csv(conv), (32, 64)):
+        traj = integrate(problem, None, MethodConfig(s=3, k=6), 4 * math.pi / n, n)
+        assert row["error"] == f"{max_norm_error(traj.states[-1], y0):.16g}"
+        assert 0.0 < float(row["error"]) < 1e-6
+
+    alpha = tmp_path / "alpha.csv"
+    run = ["--steps", "0.2,0.1", "--horizon", "0.4"]
+    assert main(["alpha-norm", *toy, *elim, *run, "--out", str(alpha)]) == 0
+    assert list(_read_csv(alpha)[0]) == ["h", "n", "t", "alpha_1", "alpha_inf"]
+    assert main(["iterations", *toy, *elim, *run, "--out", str(tmp_path / "it.csv")]) == 0
+    drift = tmp_path / "drift.csv"
+    run = ["--steps", "0.1", "--horizon", "2", "--out", str(drift)]
+    assert main(["drift", *toy, *elim, *run]) == 0
+    rows = _read_csv(drift)
+    assert list(rows[0]) == ["n", "t", "h_error", "err_Lz", "alpha_1", "iterations", "fallback"]
+    assert len(rows) == 21 and max(abs(float(row["err_Lz"])) for row in rows) < 1e-13
+    assert "max|Lz err|=" in capsys.readouterr().out
+    assert main(["tableau", *toy]) == 0
+
+    # the new label is a choice, but only for the problem that defines it
+    with pytest.raises(SystemExit):
+        main(["drift", "--help"])
+    assert "{none,L1,L1L2,Lz}" in capsys.readouterr().out
+    assert main(["drift", *elim, *run]) == 2
+    assert main(["drift", *toy, "--method", "elim", "--invariants", "L1", *run]) == 2
+    assert capsys.readouterr().err.count("invariant selections are defined for the kepler") == 2
+
+
+_RUN = "--steps 0.1 --horizon 1 --out out.csv"
+# (argv, exit code, then the first 16 hex digits of the sha256 of stdout, of
+# stderr and of out.csv, None where no file is written), recorded in CPython
+# 3.11, whose argparse lays out the help, at an 80-column width
+_CLI_BATTERY = [
+    ("--help", 0, "2a78fd1bb6d4a6c3", "e3b0c44298fc1c14", None),
+    ("convergence --help", 0, "a908f5ad08a97bf9", "e3b0c44298fc1c14", None),
+    ("alpha-norm --help", 0, "05d38765feb9d592", "e3b0c44298fc1c14", None),
+    ("iterations --help", 0, "64b44cd5efd83d06", "e3b0c44298fc1c14", None),
+    ("drift --help", 0, "84c1f09245daf0cd", "e3b0c44298fc1c14", None),
+    ("tableau --help", 0, "72637770ad8b9cff", "e3b0c44298fc1c14", None),
+    ("reproduce-paper --help", 0, "fad3999ac920a864", "e3b0c44298fc1c14", None),
+    ("convergence --method hbvm -s 2 -k 4 --steps pi/8,pi/16 --horizon 2pi --out out.csv",
+     0, "bc5e3aa1f4a40356", "e3b0c44298fc1c14", "167a8478562d1d28"),
+    ("convergence --method elim --invariants L1L2 -s 3 -k 6 --steps 0.25,0.125 --horizon 1 "
+     "--out out.csv", 0, "6c07693ab8215583", "e3b0c44298fc1c14", "8d67547f46f39d73"),
+    ("convergence --problem oscillator4 --method gauss -s 2 --steps 0.25,0.125 --horizon 1 "
+     "--out out.csv", 0, "653e4d41900ac312", "e3b0c44298fc1c14", "e2a24a8fa5ebf082"),
+    ("alpha-norm --method elim --invariants L1 -s 3 -k 6 --eccentricity 0.3 --steps 0.2,0.1 "
+     "--horizon 0.4 --out out.csv", 0, "db18543adb2b9c38", "e3b0c44298fc1c14", "fc5434d15ee6b60a"),
+    ("iterations --method hbvm -s 3 -k 12 --steps 0.2,0.1 --horizon 0.4 --out out.csv",
+     0, "5d539531c4c2ca97", "e3b0c44298fc1c14", "0d81fa121747c1dc"),
+    ("drift --method elim --invariants L1L2 -s 3 -k 12 " + _RUN,
+     0, "10d741d469fb03e6", "e3b0c44298fc1c14", "f144ae4fe9975c18"),
+    ("drift --problem oscillator2 --method hbvm -s 2 -k 4 " + _RUN,
+     0, "8dd54317095c684f", "e3b0c44298fc1c14", "2d395843080e1c5c"),
+    ("tableau -s 2 -k 3", 0, "ec84e72f127da3a9", "e3b0c44298fc1c14", None),
+    ("tableau -s 2 --out out.csv", 0, "7bf52be270ebc146", "e3b0c44298fc1c14", "5dcda1732c7a6c3c"),
+    ("convergence --problem oscillator3 " + _RUN, 2, "e3b0c44298fc1c14", "0ee894fabe5342c4", None),
+    ("convergence --problem oscillator03 " + _RUN, 2, "e3b0c44298fc1c14", "4e1d6f3172bd1023", None),
+    ("convergence --problem pendulum " + _RUN, 2, "e3b0c44298fc1c14", "a349b307420b9726", None),
+    ("drift --problem oscillator4 --method elim --invariants L1 " + _RUN,
+     2, "e3b0c44298fc1c14", "ed95643b77c7d0db", None),
+    ("drift --method elim " + _RUN, 2, "e3b0c44298fc1c14", "64602cc3cc0b52a1", None),
+    ("drift --invariants L1 " + _RUN, 2, "e3b0c44298fc1c14", "33d383ada7e7bc62", None),
+    ("drift --method elim --invariants L3 " + _RUN, 2, "e3b0c44298fc1c14", "1383573ad9b5fa0d", None),
+    # cfg.json holds {"invariants": "L3"}
+    ("drift --method elim --config cfg.json " + _RUN, 2, "e3b0c44298fc1c14", "5582218439a660f9", None),
+    ("drift --eccentricity 1 " + _RUN, 2, "e3b0c44298fc1c14", "afb01d7bfa43eb16", None),
+    ("convergence --steps 0.1 --horizon 1", 2, "e3b0c44298fc1c14", "7676fa35bbf06f89", None),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr, written", _CLI_BATTERY)
+def test_cli_bytes_are_pinned(argv, code, stdout, stderr, written, tmp_path, monkeypatch, capsys):
+    # every subcommand, each --help and each validation error, byte for byte
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("ELIM_FP_TOL", raising=False)
+    (tmp_path / "cfg.json").write_text('{"invariants": "L3"}')
+    try:
+        got = main(argv.split())
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    out_csv = tmp_path / "out.csv"
+
+    def digest(data):
+        return None if data is None else hashlib.sha256(data).hexdigest()[:16]
+
+    found = (got, digest(out.encode()), digest(err.encode()),
+             digest(out_csv.read_bytes() if out_csv.exists() else None))
+    assert found == (code, stdout, stderr, written), (out, err)
