@@ -41,7 +41,19 @@ def estimate_orders(errors) -> np.ndarray:
         raise ValueError("need at least two errors to estimate an order")
     if np.any(errors <= 0.0):
         raise ValueError("errors must be positive")
-    return np.log2(errors[:-1] / errors[1:])
+    return np.array(list(map(_observed_order, errors[:-1], errors[1:])), dtype=float)
+
+
+def _observed_order(prev, cur) -> Optional[float]:
+    """Every order linteg reports: log2(prev / cur), None where a value is not
+    > 0 or their ratio underflows to 0 (which math.log2 refuses)."""
+    return math.log2(prev / cur) if prev > 0 and cur > 0 and prev / cur > 0 else None
+
+
+def _whole_multiple(total: float, unit: float) -> int:
+    """n = round(total / unit) if n >= 1 and |n unit - total| <= 1e-9 total, else 0."""
+    n = round(total / unit)
+    return n if n >= 1 and abs(n * unit - total) <= 1e-9 * total else 0
 
 
 def max_norm_error(y: np.ndarray, reference: np.ndarray) -> float:
@@ -64,19 +76,14 @@ def reference_solution(
     n = _reference_steps(problem, h_ref, horizon)
     if n == 0:
         return problem.initial_state.copy()
-    config = MethodConfig(s=6, k=12)
-    traj = integrate(problem, None, config, horizon / n, n)
-    return traj.states[-1]
+    return integrate(problem, None, MethodConfig(s=6, k=12), horizon / n, n).states[-1]
 
 
 def _reference_steps(problem: HamiltonianProblem, h_ref: float, horizon: float) -> int:
-    """Steps reference_solution integrates: 0 where the horizon is a whole
-    number of the problem's periods."""
+    """Steps reference_solution integrates; 0 for a whole number of periods."""
     period = _facts(problem.name).period
-    if period is not None:
-        periods = horizon / period
-        if abs(periods - round(periods)) <= 1e-9 * max(1.0, abs(periods)):
-            return 0
+    if period is not None and _whole_multiple(horizon, period):
+        return 0
     return max(1, int(round(horizon / h_ref)))
 
 

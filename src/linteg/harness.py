@@ -24,10 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import _reference_steps, drift_report, max_norm_error, reference_solution
+from .analysis import _observed_order, _reference_steps, _whole_multiple
+from .analysis import drift_report, max_norm_error, reference_solution
 from .integrators import MethodConfig, NonConvergence, _max_steps, integrate
-from .problems import ConfigError, HamiltonianProblem, InvariantSet, _as_float
-from .problems import _facts, _invariant_labels, _named_problem
+from .problems import ConfigError, HamiltonianProblem, InvariantSet, _as_float, _facts, _is_real
+from .problems import _PROBLEMS, _invariant_labels, _named_problem, _problem_names
 from .tableau import build_hbvm_tableau, tableau_to_json
 
 __all__ = ["ExperimentSpec", "main", "parse_step_size", "run_experiment"]
@@ -59,14 +60,8 @@ def parse_step_size(token: str) -> float:
         raise ConfigError(f"cannot parse step size or horizon {token!r}") from None
 
 
-def _fmt(value) -> str:
-    return f"{value:.16g}"
-
-
-def _order(prev, cur) -> str:
-    """Observed order log2(prev / cur) between successive step sizes, as a
-    CSV cell; blank where it is undefined (a value that is not > 0)."""
-    return _fmt(math.log2(prev / cur)) if prev > 0 and cur > 0 else ""
+def _fmt(value) -> str:  # a CSV cell; None, an undefined order, is blank
+    return "" if value is None else f"{value:.16g}"
 
 
 @dataclass(frozen=True)
@@ -102,16 +97,19 @@ class ExperimentSpec:
         if self.invariants not in _invariant_labels():
             raise ConfigError(f"unknown invariant selection {self.invariants!r}")
         self.build_problem()
+        labels = _facts(self.problem).invariants
         if self.method == "gauss" and self.k is not None and self.k != self.s:
             raise ConfigError("the gauss method fixes k = s; drop -k or pass k = s")
         if self.method == "elim" and self.invariants == "none":
-            raise ConfigError("the elim method needs --invariants L1 or L1L2")
+            offered = " or ".join(labels) or f"(the {self.problem} problem defines none)"
+            raise ConfigError(f"the elim method needs --invariants {offered}")
         if self.method != "elim" and self.invariants != "none":
             raise ConfigError("--invariants requires --method elim")
         if self.method != "elim" and self.r is not None:
             raise ConfigError("-r requires --method elim")
-        if self.invariants != "none" and self.invariants not in _facts(self.problem).invariants:
-            raise ConfigError("invariant selections are defined for the kepler problem")
+        if self.invariants != "none" and self.invariants not in labels:
+            owners = " or ".join(n for n, f in _PROBLEMS.items() if self.invariants in f.invariants)
+            raise ConfigError(f"invariant selections are defined for the {owners} problem")
         if self.experiment != "tableau":
             if not self.step_sizes:
                 raise ConfigError("need at least one step size (--steps)")
@@ -135,8 +133,8 @@ class ExperimentSpec:
             ratio = self.horizon / h
             if not math.isfinite(ratio):
                 raise ConfigError(f"horizon {self.horizon!r} / step size {h!r} is not finite")
-            n = int(round(ratio))
-            if n < 1 or abs(n * h - self.horizon) > 1e-9 * self.horizon:
+            n = _whole_multiple(self.horizon, h)
+            if not n:
                 raise ConfigError(
                     f"horizon {self.horizon!r} is not an integer multiple of step size {h!r}"
                 )
@@ -271,17 +269,14 @@ def _run_convergence(spec: ExperimentSpec, out: Path) -> None:
     problem = spec.build_problem()
     h_ref = min(spec.step_sizes) / 2.0
     # an integrated reference is the costliest run, so it shares their batch
-    reference = (
-        _reference_steps(problem, h_ref, spec.horizon),
-        partial(reference_solution, problem, h_ref, spec.horizon),
-    )
+    reference = (_reference_steps(problem, h_ref, spec.horizon),
+                 partial(reference_solution, problem, h_ref, spec.horizon))
     results = _parallel([reference] + _integrations(spec, problem))
     y_ref = next(results)
-    rows = []
-    prev = None
+    rows, prev = [], None
     for (h, n), traj in zip(spec.step_counts(), results):
         err = max_norm_error(traj.states[-1], y_ref)
-        order = "" if prev is None else _order(prev, err)
+        order = "" if prev is None else _fmt(_observed_order(prev, err))
         rows.append([_fmt(h), str(n), _fmt(err), order, str(traj.iteration_total)])
         print(f"h={_fmt(h)}  n={n}  error={_fmt(err)}  iterations={traj.iteration_total}")
         prev = err
@@ -301,8 +296,7 @@ def _alpha_rows(traj) -> list:
 
 
 def _run_alpha_norm(spec: ExperimentSpec, out: Path) -> None:
-    rows = []
-    maxima = []
+    rows, maxima = [], []
     for h, n, traj in _runs(spec, spec.build_problem()):
         amax = float(np.max(np.abs(traj.alpha)))
         maxima.append(amax)
@@ -310,7 +304,7 @@ def _run_alpha_norm(spec: ExperimentSpec, out: Path) -> None:
             rows.append([_fmt(h)] + row + [_fmt(np.max(np.abs(alpha)))])
         print(f"h={_fmt(h)}  n={n}  max|alpha|={_fmt(amax)}")
     if len(maxima) >= 2:
-        print("alpha orders:", " ".join(map(_order, maxima, maxima[1:])))
+        print("alpha orders:", " ".join(map(_fmt, map(_observed_order, maxima, maxima[1:]))))
     _write_csv(out, ["h", "n", "t"] + _alpha_names(spec.nu()) + ["alpha_inf"], rows)
 
 
@@ -415,17 +409,14 @@ _PAPER = {
 
 def _write_order_table(path, steps, labels, values, value_name, order_name):
     """Write h, then per label its value at h and its order against the
-    previous step (see _order), one row per step."""
-    header = ["h"]
+    previous step (analysis._observed_order), one row per step."""
+    header, rows = ["h"], [[_fmt(h)] for h in steps]
     for label in labels:
         header += [f"{value_name}_{label}", f"{order_name}_{label}"]
-    rows = []
-    for i, h in enumerate(steps):
-        row = [_fmt(h)]
-        for label in labels:
-            cur = values[label, h]
-            row += [_fmt(cur), _order(values[label, steps[i - 1]], cur) if i else ""]
-        rows.append(row)
+        column = [values[label, h] for h in steps]
+        orders = [None, *map(_observed_order, column, column[1:])]
+        for row, value, order in zip(rows, column, orders):
+            row += [_fmt(value), _fmt(order)]
     _write_csv(path, header, rows)
 
 
@@ -520,40 +511,35 @@ def _build_parser() -> argparse.ArgumentParser:
         description="experiment runner for the conserving line-integral methods",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
+    # read now, as the problems table may have gained entries and labels
+    live = {"problem": dict(help=" or ".join(_problem_names())),
+            "invariants": dict(choices=_invariant_labels())}
     helps = {name: f"run the {name} experiment" for name in _RUNNERS}
     helps["tableau"] = "export a Butcher tableau as JSON"
     for name, text in helps.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON file with defaults; flags override it")
         for key, (flag, _, options) in _SETTINGS.items():
-            if key == "invariants":  # read now, as problems may have gained labels
-                options = dict(options, choices=_invariant_labels())
             if name != "tableau" or key not in ("steps", "horizon"):
-                p.add_argument(flag, dest=key, **options)
+                p.add_argument(flag, dest=key, **options, **live.get(key, {}))
 
-    repro = sub.add_parser(
-        "reproduce-paper", help="run the full published benchmark set"
-    )
+    repro = sub.add_parser("reproduce-paper", help="run the full published benchmark set")
     repro.add_argument("--out-dir", default="results", help="output directory")
     repro.add_argument("--tol", type=float, help="fixed-point tolerance")
     return parser
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 _JSON_KINDS = {
     "a string": lambda v: isinstance(v, str),
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a number": _is_number,
+    "a number": _is_real,
     "null": lambda v: v is None,
-    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_real, v)),
 }
 # each setting of an experiment subcommand: its flag, the JSON values its
 # --config key takes, and its argparse options; ExperimentSpec holds the defaults
 _SETTINGS = {
-    "problem": ("--problem", ("a string",), dict(help="kepler or oscillator{2,4,6,8}")),
+    "problem": ("--problem", ("a string",), {}),  # help from the problems table
     "eccentricity": ("--eccentricity", ("a number",),
                      dict(type=float, help="kepler eccentricity")),
     "method": ("--method", ("a string",), dict(choices=_METHODS, help="integrator family")),

@@ -204,8 +204,9 @@ def kepler_invariants(which: str) -> InvariantSet:
 def polynomial_oscillator(degree: int) -> HamiltonianProblem:
     """One-degree-of-freedom oscillator H = p^2 / 2 + q^degree / degree, started at (1, 0)."""
     _check_count("degree", degree)
-    if degree not in (2, 4, 6, 8):
-        raise ConfigError(f"degree must be one of 2, 4, 6, 8, got {degree!r}")
+    if degree not in _DEGREES:
+        degrees = ", ".join(map(str, _DEGREES))
+        raise ConfigError(f"degree must be one of {degrees}, got {degree!r}")
     d = int(degree)
 
     # in float64 whatever y's dtype: q**d of an integer q would wrap
@@ -235,7 +236,7 @@ def polynomial_oscillator(degree: int) -> HamiltonianProblem:
 # holds its invariant sets by --invariants label, the drift CSV reports the set
 # labelled `monitored` under the names `monitors`, and the exact flow is back at
 # the initial state after each `period`.  A new problem is one entry; other
-# names (the oscillators) have none.
+# names, oscillator<degree> for each of `_DEGREES`, have none.
 _Facts = namedtuple("_Facts", "build invariants monitored monitors period", defaults=(None, (), None))
 _PROBLEMS = {
     "kepler": _Facts(
@@ -245,6 +246,7 @@ _PROBLEMS = {
         monitored="L1L2", monitors=("L1", "L2"), period=2.0 * np.pi,
     ),
 }
+_DEGREES = (2, 4, 6, 8)
 
 
 def _facts(name: str) -> _Facts:
@@ -253,6 +255,11 @@ def _facts(name: str) -> _Facts:
 
 def _invariant_labels() -> tuple:
     return ("none", *dict.fromkeys(label for f in _PROBLEMS.values() for label in f.invariants))
+
+
+def _problem_names() -> tuple:
+    """The --problem values: each table entry, then the oscillator family."""
+    return (*_PROBLEMS, "oscillator{" + ",".join(map(str, _DEGREES)) + "}")
 
 
 def _named_problem(name: str, eccentricity: float) -> HamiltonianProblem:

@@ -36,6 +36,11 @@ def test_estimate_orders_validation():
         estimate_orders([1e-3, 0.0])
     with pytest.raises(ValueError):
         estimate_orders([1e-3, -1e-4])
+    # a NaN passes the check and gives NaN orders, as log2 of a NaN ratio is,
+    # and so does a ratio that underflows to 0
+    for errors in ([1e-3, math.nan, 1e-5], [1e-320, 1e10]):
+        orders = estimate_orders(errors)
+        assert orders.dtype == np.float64 and np.isnan(orders).all()
 
 
 def test_max_norm_error():
@@ -56,6 +61,16 @@ def test_reference_solution_fractional_horizon_consistency():
     b = reference_solution(prob, h_ref=0.01, horizon=1.0)
     assert max_norm_error(a, b) <= 1e-11
     assert not np.array_equal(a, prob.initial_state)
+
+
+def test_reference_solution_below_one_period_is_integrated():
+    # 1e-10 is 1.6e-11 Kepler periods, which rounds to zero periods: no
+    # whole number of them, so the reference is the (12, 6) run
+    prob = kepler_problem(0.6)
+    ref = reference_solution(prob, h_ref=2.5e-12, horizon=1e-10)
+    traj = integrate(prob, None, MethodConfig(s=6, k=12), 1e-10 / 40, 40)
+    np.testing.assert_array_equal(ref, traj.states[-1])
+    assert not np.array_equal(ref, prob.initial_state)
 
 
 def test_reference_solution_whole_periods_survive_a_rebuilt_record():

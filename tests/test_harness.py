@@ -18,7 +18,7 @@ import pytest
 
 import linteg
 from linteg import harness, problems
-from linteg.analysis import max_norm_error, reference_solution
+from linteg.analysis import estimate_orders, max_norm_error, reference_solution
 from linteg.harness import ExperimentSpec, main, parse_step_size
 from linteg.integrators import MethodConfig, NonConvergence, integrate
 from linteg.problems import (
@@ -70,6 +70,11 @@ def test_spec_validation_rejects_bad_combinations():
     with pytest.raises(ConfigError):
         ExperimentSpec(experiment="drift", problem="pendulum", method="hbvm",
                        s=2, step_sizes=(0.1,), horizon=10.0).validate()
+    # elim offers the problem's own labels, and says when it has none
+    with pytest.raises(ConfigError, match=r"^the elim method needs --invariants L1 or L1L2$"):
+        replace(good, invariants="none").validate()
+    with pytest.raises(ConfigError, match=r"needs --invariants \(the oscillator4 problem defines none\)$"):
+        replace(good, problem="oscillator4", invariants="none").validate()
     # nu is the size of the invariant set the label builds
     for label, nu in (("none", 0), ("L1", 1), ("L1L2", 2)):
         spec = replace(good, invariants=label)
@@ -557,6 +562,40 @@ def test_undefined_orders_are_blank_cells(tmp_path, capsys):
     ]
 
 
+def test_order_cells_are_estimate_orders_bit_for_bit(tmp_path, monkeypatch):
+    # one order rule: each cell of an order table, written here at full
+    # precision, is the estimate_orders value of its pair of values
+    monkeypatch.setattr(harness, "_fmt", lambda v: "" if v is None else repr(float(v)))
+    values = np.random.default_rng(7).uniform(1e-12, 1.0, 10_001)
+    steps = tuple(range(values.size))  # only the row keys here
+    table = tmp_path / "orders.csv"
+
+    def order_cells():
+        by_step = {("e", h): v for h, v in zip(steps, values.tolist())}
+        harness._write_order_table(table, steps, ("e",), by_step, "v", "order")
+        return [row["order_e"] for row in _read_csv(table)]
+
+    assert order_cells() == [""] + [repr(o) for o in estimate_orders(values).tolist()]
+    # a value that is not > 0 blanks the orders on both sides of it, and a
+    # ratio that underflows to 0 its own
+    values[[10, 20, 21, 30, 31]] = (0.0, -1e-3, 0.0, 1e-320, 1e10)
+    blank = [i for i, cell in enumerate(order_cells()) if cell == ""]
+    assert blank == [0, 10, 11, 20, 21, 22, 31]
+
+
+def test_a_horizon_far_below_one_period_has_an_integrated_reference(tmp_path):
+    # 1e-10 is no whole number of Kepler periods, zero periods included: an
+    # initial-state reference would put the 6.25e-10 the orbit moves in that
+    # time into every error
+    out = tmp_path / "tiny.csv"
+    assert main([
+        "convergence", "--method", "hbvm", "-s", "3", "-k", "12", "--steps", "1e-11,5e-12",
+        "--horizon", "1e-10", "--out", str(out),
+    ]) == 0
+    errors = [float(row["error"]) for row in _read_csv(out)]
+    assert len(errors) == 2 and max(errors) <= 1e-12
+
+
 def test_env_tolerance_default(tmp_path, monkeypatch, capsys):
     args = [
         "iterations", "--method", "hbvm", "-s", "2", "-k", "4",
@@ -757,13 +796,27 @@ def test_a_problem_added_to_the_problems_table_runs_every_subcommand(tmp_path, m
     assert "max|Lz err|=" in capsys.readouterr().out
     assert main(["tableau", *toy]) == 0
 
-    # the new label is a choice, but only for the problem that defines it
+    # the new problem and label are choices, the label only for the problem
+    # that defines it, and the help and error texts name them from the table
     with pytest.raises(SystemExit):
         main(["drift", "--help"])
-    assert "{none,L1,L1L2,Lz}" in capsys.readouterr().out
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "{none,L1,L1L2,Lz}" in help_text
+    assert "--problem PROBLEM kepler or isotropic or oscillator{2,4,6,8}" in help_text
     assert main(["drift", *elim, *run]) == 2
+    assert capsys.readouterr().err == (
+        "error: invariant selections are defined for the isotropic problem\n"
+    )
     assert main(["drift", *toy, "--method", "elim", "--invariants", "L1", *run]) == 2
-    assert capsys.readouterr().err.count("invariant selections are defined for the kepler") == 2
+    assert capsys.readouterr().err == "error: invariant selections are defined for the kepler problem\n"
+    assert main(["drift", *toy, "--method", "elim", *run]) == 2
+    assert capsys.readouterr().err == "error: the elim method needs --invariants Lz\n"
+    # a label two problems define names both
+    monkeypatch.setitem(problems._PROBLEMS, "planar", facts)
+    assert main(["drift", *elim, *run]) == 2
+    assert capsys.readouterr().err == (
+        "error: invariant selections are defined for the isotropic or planar problem\n"
+    )
 
 
 _RUN = "--steps 0.1 --horizon 1 --out out.csv"
