@@ -8,8 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .integrators import MethodConfig, Trajectory, integrate
-from .problems import HamiltonianProblem, InvariantSet, _facts
+from .integrators import MethodConfig, Trajectory, _deviations, integrate
+from .problems import HamiltonianProblem, InvariantSet, _check_count, _facts
 
 __all__ = [
     "DriftReport",
@@ -57,8 +57,11 @@ def _whole_multiple(total: float, unit: float) -> int:
 
 
 def max_norm_error(y: np.ndarray, reference: np.ndarray) -> float:
-    """Max-norm distance between a state and its reference."""
-    return float(np.max(np.abs(np.asarray(y) - np.asarray(reference))))
+    """Max-norm distance between a state and its reference, of the same shape."""
+    y, reference = np.asarray(y), np.asarray(reference)
+    if y.shape != reference.shape:
+        raise ValueError(f"state shape {y.shape} differs from reference shape {reference.shape}")
+    return float(np.max(np.abs(y - reference)))
 
 
 def reference_solution(
@@ -107,14 +110,7 @@ def drift_report(
     not be the set the integrator conserved (checking e.g. how a plain method
     loses an invariant it never imposed).
     """
-    states = trajectory.states
-    h_vals = problem.hamiltonian(states)
-    h_error = h_vals - h_vals[0]
-    if monitored is not None:
-        vals = monitored.values(states)
-        invariant_error = vals - vals[0]
-    else:
-        invariant_error = np.zeros((states.shape[0], 0))
+    h_error, invariant_error = _deviations(problem, monitored, trajectory.states)
     h_slope = drift_slope(trajectory.times, h_error)
     inv_slopes = np.array(
         [drift_slope(trajectory.times, invariant_error[:, i]) for i in range(invariant_error.shape[1])]
@@ -133,9 +129,6 @@ def cost_ratio(r1: int, k1: int, r2: int, k2: int, nu: int) -> float:
     """Per-step work ratio (k1 + (nu+1) r1) / (k2 + nu r2) of the uncorrected
     formulation over the corrected one, counting vector-field and gradient
     evaluations per sweep."""
-    for name, val in (("r1", r1), ("k1", k1), ("r2", r2), ("k2", k2)):
-        if val < 1:
-            raise ValueError(f"{name} must be >= 1, got {val}")
-    if nu < 0:
-        raise ValueError(f"nu must be >= 0, got {nu}")
+    for name, value in ("r1", r1), ("k1", k1), ("r2", r2), ("k2", k2), ("nu", nu):
+        _check_count(name, value, 0 if name == "nu" else 1)
     return (k1 + (nu + 1) * r1) / (k2 + nu * r2)

@@ -66,7 +66,7 @@ def _fmt(value) -> str:  # a CSV cell; None, an undefined order, is blank
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One validated experiment invocation."""
+    """One experiment invocation; validate() checks it and returns its run plan."""
 
     experiment: str
     problem: str = "kepler"
@@ -81,22 +81,15 @@ class ExperimentSpec:
     tol: float = MethodConfig.fp_tolerance
     out: Optional[str] = None
 
-    def resolved_k(self) -> int:
-        # validate holds gauss to k = s
-        return self.s if self.k is None else self.k
-
-    def nu(self) -> int:
-        invariants = self.build_invariants()
-        return 0 if invariants is None else invariants.nu
-
-    def validate(self) -> None:
+    def validate(self) -> _Plan:
+        """Check every field, before any stepping; return the plan the runners execute."""
         if self.experiment not in _RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.invariants not in _invariant_labels():
             raise ConfigError(f"unknown invariant selection {self.invariants!r}")
-        self.build_problem()
+        problem = _named_problem(self.problem, self.eccentricity)
         labels = _facts(self.problem).invariants
         if self.method == "gauss" and self.k is not None and self.k != self.s:
             raise ConfigError("the gauss method fixes k = s; drop -k or pass k = s")
@@ -110,6 +103,7 @@ class ExperimentSpec:
         if self.invariants != "none" and self.invariants not in labels:
             owners = " or ".join(n for n, f in _PROBLEMS.items() if self.invariants in f.invariants)
             raise ConfigError(f"invariant selections are defined for the {owners} problem")
+        counts = []  # (h, n_steps) per step size: the horizon is a whole multiple of each
         if self.experiment != "tableau":
             if not self.step_sizes:
                 raise ConfigError("need at least one step size (--steps)")
@@ -121,41 +115,42 @@ class ExperimentSpec:
                 raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
             if self.experiment == "alpha-norm" and self.method != "elim":
                 raise ConfigError("alpha-norm tracks the elim scaling; use --method elim")
-            self.step_counts()
-        # fail on impossible method parameters before any stepping
-        self.method_config().validate(nu=self.nu())
+            for h in self.step_sizes:
+                ratio = self.horizon / h
+                if not math.isfinite(ratio):
+                    raise ConfigError(f"horizon {self.horizon!r} / step size {h!r} is not finite")
+                n = _whole_multiple(self.horizon, h)
+                if not n:
+                    raise ConfigError(
+                        f"horizon {self.horizon!r} is not an integer multiple of step size {h!r}"
+                    )
+                if n > _max_steps(problem.dim):
+                    raise ConfigError(
+                        f"horizon {self.horizon!r} / step size {h!r} is {ratio:.3g} steps, "
+                        f"more than the {_max_steps(problem.dim)} whose states an array can hold"
+                    )
+                counts.append((h, n))
+        # fail on impossible method parameters before any stepping (gauss has k = s)
+        config = MethodConfig(self.s, self.s if self.k is None else self.k, self.r, self.tol)
+        plan = _Plan(problem, labels.get(self.invariants), config, counts, self.horizon)
+        config.validate(nu=plan.nu)
+        return plan
 
-    def step_counts(self) -> list:
-        """(h, n_steps) for each step size; the horizon must be a whole multiple of each."""
-        counts = []
-        dim = self.build_problem().dim
-        for h in self.step_sizes:
-            ratio = self.horizon / h
-            if not math.isfinite(ratio):
-                raise ConfigError(f"horizon {self.horizon!r} / step size {h!r} is not finite")
-            n = _whole_multiple(self.horizon, h)
-            if not n:
-                raise ConfigError(
-                    f"horizon {self.horizon!r} is not an integer multiple of step size {h!r}"
-                )
-            if n > _max_steps(dim):
-                raise ConfigError(
-                    f"horizon {self.horizon!r} / step size {h!r} is {ratio:.3g} steps, "
-                    f"more than the {_max_steps(dim)} whose states an array can hold"
-                )
-            counts.append((h, n))
-        return counts
 
-    def method_config(self) -> MethodConfig:
-        return MethodConfig(
-            s=self.s, k=self.resolved_k(), r=self.r, fp_tolerance=self.tol
-        )
+@dataclass(frozen=True)
+class _Plan:
+    """What a validated ExperimentSpec runs: its problem record, the invariant set the
+    method imposes (None without), the method, and (h, n_steps) per step size over the horizon."""
 
-    def build_problem(self) -> HamiltonianProblem:
-        return _named_problem(self.problem, self.eccentricity)
+    problem: HamiltonianProblem
+    invariants: Optional[InvariantSet]
+    config: MethodConfig
+    counts: list
+    horizon: float
 
-    def build_invariants(self) -> Optional[InvariantSet]:
-        return _facts(self.problem).invariants.get(self.invariants)
+    @property
+    def nu(self) -> int:
+        return 0 if self.invariants is None else self.invariants.nu
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -250,31 +245,28 @@ def _parallel(tasks: list):
         yield value
 
 
-def _integrations(spec: ExperimentSpec, problem: HamiltonianProblem) -> list:
-    """(n_steps, task) per step size: spec's method integrated over its horizon."""
-    invariants, config = spec.build_invariants(), spec.method_config()
-    return [
-        (n, partial(integrate, problem, invariants, config, h, n)) for h, n in spec.step_counts()
-    ]
+def _integrations(plan: _Plan) -> list:
+    """(n_steps, task) per step size: the plan's method integrated over its horizon."""
+    method = plan.problem, plan.invariants, plan.config
+    return [(n, partial(integrate, *method, h, n)) for h, n in plan.counts]
 
 
-def _runs(spec: ExperimentSpec, problem: HamiltonianProblem):
-    """Yield (h, n_steps, trajectory) per step size of spec, in step order;
+def _runs(plan: _Plan):
+    """Yield (h, n_steps, trajectory) per step size of plan, in step order;
     the runs go side by side (see _parallel)."""
-    for (h, n), traj in zip(spec.step_counts(), _parallel(_integrations(spec, problem))):
+    for (h, n), traj in zip(plan.counts, _parallel(_integrations(plan))):
         yield h, n, traj
 
 
-def _run_convergence(spec: ExperimentSpec, out: Path) -> None:
-    problem = spec.build_problem()
-    h_ref = min(spec.step_sizes) / 2.0
+def _run_convergence(plan: _Plan, out: Path) -> None:
+    h_ref = min(h for h, _ in plan.counts) / 2.0
     # an integrated reference is the costliest run, so it shares their batch
-    reference = (_reference_steps(problem, h_ref, spec.horizon),
-                 partial(reference_solution, problem, h_ref, spec.horizon))
-    results = _parallel([reference] + _integrations(spec, problem))
+    reference = (_reference_steps(plan.problem, h_ref, plan.horizon),
+                 partial(reference_solution, plan.problem, h_ref, plan.horizon))
+    results = _parallel([reference] + _integrations(plan))
     y_ref = next(results)
     rows, prev = [], None
-    for (h, n), traj in zip(spec.step_counts(), results):
+    for (h, n), traj in zip(plan.counts, results):
         err = max_norm_error(traj.states[-1], y_ref)
         order = "" if prev is None else _fmt(_observed_order(prev, err))
         rows.append([_fmt(h), str(n), _fmt(err), order, str(traj.iteration_total)])
@@ -295,9 +287,9 @@ def _alpha_rows(traj) -> list:
     ]
 
 
-def _run_alpha_norm(spec: ExperimentSpec, out: Path) -> None:
+def _run_alpha_norm(plan: _Plan, out: Path) -> None:
     rows, maxima = [], []
-    for h, n, traj in _runs(spec, spec.build_problem()):
+    for h, n, traj in _runs(plan):
         amax = float(np.max(np.abs(traj.alpha)))
         maxima.append(amax)
         for row, alpha in zip(_alpha_rows(traj), traj.alpha):
@@ -305,12 +297,12 @@ def _run_alpha_norm(spec: ExperimentSpec, out: Path) -> None:
         print(f"h={_fmt(h)}  n={n}  max|alpha|={_fmt(amax)}")
     if len(maxima) >= 2:
         print("alpha orders:", " ".join(map(_fmt, map(_observed_order, maxima, maxima[1:]))))
-    _write_csv(out, ["h", "n", "t"] + _alpha_names(spec.nu()) + ["alpha_inf"], rows)
+    _write_csv(out, ["h", "n", "t"] + _alpha_names(plan.nu) + ["alpha_inf"], rows)
 
 
-def _run_iterations(spec: ExperimentSpec, out: Path) -> None:
+def _run_iterations(plan: _Plan, out: Path) -> None:
     rows = []
-    for h, n, traj in _runs(spec, spec.build_problem()):
+    for h, n, traj in _runs(plan):
         total = traj.iteration_total
         nfall = int(np.count_nonzero(traj.fallback))
         rows.append([_fmt(h), str(n), str(total), str(nfall)])
@@ -318,16 +310,15 @@ def _run_iterations(spec: ExperimentSpec, out: Path) -> None:
     _write_csv(out, ["h", "n_steps", "iteration_total", "fallback_steps"], rows)
 
 
-def _run_drift(spec: ExperimentSpec, out: Path) -> None:
-    [(_, _, traj)] = _runs(spec, spec.build_problem())
-    _write_drift(spec, traj, out)
+def _run_drift(plan: _Plan, out: Path) -> None:
+    [(_, _, traj)] = _runs(plan)
+    _write_drift(plan, traj, out)
 
 
-def _write_drift(spec: ExperimentSpec, traj, out: Path) -> None:
-    h, n = traj.h, traj.iterations.size
-    facts = _facts(spec.problem)  # its monitors are reported whatever the method imposes
-    report = drift_report(traj, spec.build_problem(), facts.invariants.get(facts.monitored))
-    nu = spec.nu()
+def _write_drift(plan: _Plan, traj, out: Path) -> None:
+    h, n, nu = traj.h, traj.iterations.size, plan.nu
+    facts = _facts(plan.problem.name)  # its monitors are reported whatever the method imposes
+    report = drift_report(traj, plan.problem, facts.invariants.get(facts.monitored))
     header = (
         ["n", "t", "h_error"] + [f"err_{lab}" for lab in facts.monitors] + _alpha_names(nu)
         + ["iterations", "fallback"]
@@ -354,8 +345,8 @@ def _write_drift(spec: ExperimentSpec, traj, out: Path) -> None:
         )
 
 
-def _run_tableau(spec: ExperimentSpec, out: Optional[Path]) -> None:
-    tab = build_hbvm_tableau(spec.resolved_k(), spec.s)
+def _run_tableau(plan: _Plan, out: Optional[Path]) -> None:
+    tab = build_hbvm_tableau(plan.config.k, plan.config.s)
     payload = json.dumps(tableau_to_json(tab), indent=2)
     if out is None:
         print(payload)
@@ -376,10 +367,10 @@ _RUNNERS = {
 
 def run_experiment(spec: ExperimentSpec) -> None:
     """Validate and execute one experiment, writing its output file."""
-    spec.validate()
+    plan = spec.validate()
     if spec.out is None and spec.experiment != "tableau":
         raise ConfigError("this experiment writes CSV; pass --out")
-    _RUNNERS[spec.experiment](spec, None if spec.out is None else Path(spec.out))
+    _RUNNERS[spec.experiment](plan, None if spec.out is None else Path(spec.out))
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +437,21 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
         )
         for label, spec in specs.items()
     }
-    labels = list(specs)
-    for spec in [*specs.values(), *drift_specs.values()]:
-        spec.validate()
-    problem = specs[labels[0]].build_problem()
-    y_ref = reference_solution(problem, min(steps) / 2.0, paper["horizon"])
+    plans = {label: spec.validate() for label, spec in specs.items()}
+    drift_plans = {label: spec.validate() for label, spec in drift_specs.items()}
+    labels = list(plans)
+    y_ref = reference_solution(plans[labels[0]].problem, min(steps) / 2.0, paper["horizon"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # every distinct (label, tolerance, h) is integrated once, in one batch
     # with the drift runs; the tables read the store
     keys, tasks = [], []
-    for label, spec in specs.items():
+    for label, plan in plans.items():
         for t in dict.fromkeys((conv_tol, base_tol)):
-            keys += [(label, t, h) for h, _ in spec.step_counts()]
-            tasks += _integrations(replace(spec, tol=t), problem)
-    for spec in drift_specs.values():
-        tasks += _integrations(spec, problem)
+            keys += [(label, t, h) for h, _ in plan.counts]
+            tasks += _integrations(replace(plan, config=replace(plan.config, fp_tolerance=t)))
+    for plan in drift_plans.values():
+        tasks += _integrations(plan)
     results = _parallel(tasks)
     runs = {}
     errors = {}
@@ -481,7 +471,7 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
     ]
     _write_csv(out_dir / "iterations.csv", ["h"] + labels, iter_rows)
 
-    elim_labels = [label for label, spec in specs.items() if spec.nu()]
+    elim_labels = [label for label, plan in plans.items() if plan.nu]
     alpha_max = {
         (label, h): float(np.max(np.abs(runs[label, base_tol, h].alpha)))
         for label in elim_labels for h in steps
@@ -494,9 +484,9 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
     header = ["n", "t"] + _alpha_names(traj.alpha.shape[1])
     _write_csv(out_dir / "alpha_components.csv", header, _alpha_rows(traj))
 
-    for label, spec in drift_specs.items():
+    for label, plan in drift_plans.items():
         print(f"drift {label}:")
-        _write_drift(spec, next(results), out_dir / f"drift_{label}.csv")
+        _write_drift(plan, next(results), out_dir / f"drift_{label}.csv")
     (out_dir / "parameters.json").write_text(json.dumps(paper, indent=2) + "\n")
     print(f"wrote {out_dir}/")
 

@@ -86,16 +86,13 @@ class MethodConfig:
         return self.k if self.r is None else self.r
 
     def validate(self, nu: int = 0) -> None:
-        for name, value in ("s", self.s), ("k", self.k), ("r", self.resolved_r()), ("nu", nu):
-            _check_count(name, value)
-        if self.s < 1:
-            raise ConfigError(f"need s >= 1, got s={self.s}")
+        for name, value, low in (("s", self.s, 1), ("k", self.k, None),
+                                 ("r", self.resolved_r(), None), ("nu", nu, 0)):
+            _check_count(name, value, low)
         if self.k < self.s:
             raise ConfigError(f"need k >= s, got k={self.k}, s={self.s}")
         if self.resolved_r() < self.s:
             raise ConfigError(f"need r >= s, got r={self.resolved_r()}, s={self.s}")
-        if nu < 0:
-            raise ConfigError(f"need nu >= 0, got nu={nu}")
         if nu > 0 and self.s <= nu:
             raise ConfigError(f"conserving nu={nu} invariants needs s > nu, got s={self.s}")
         tol = self.fp_tolerance
@@ -482,6 +479,16 @@ def _validate(problem, config, nu, y0, h):
     return y0, h
 
 
+def _deviations(problem, invariants, states):
+    """H and the invariants (an (n+1, 0) array with none) along states, each
+    less its value at states[0]."""
+    h_vals = problem.hamiltonian(states)
+    if invariants is None:
+        return h_vals - h_vals[0], np.zeros((states.shape[0], 0))
+    inv_vals = invariants.values(states)
+    return h_vals - h_vals[0], inv_vals - inv_vals[0]
+
+
 def _max_steps(dim):
     """Largest step count whose (n_steps + 1, dim) float state array NumPy can address."""
     return np.iinfo(np.intp).max // (dim * np.dtype(float).itemsize) - 1
@@ -521,9 +528,7 @@ def integrate(
     """March n_steps steps of size h from the problem's initial state."""
     nu = invariants.nu if invariants is not None else 0
     y, h = _validate(problem, config, nu, problem.initial_state, h)
-    _check_count("n_steps", n_steps)
-    if n_steps < 1:
-        raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
+    _check_count("n_steps", n_steps, 1)
     if n_steps > _max_steps(problem.dim):
         raise ConfigError(
             f"n_steps={n_steps} is more than the {_max_steps(problem.dim)} steps "
@@ -553,17 +558,10 @@ def integrate(
         if nu:
             alphas[i] = record.alpha
 
-    times = h * np.arange(n_steps + 1)
-    h_vals = problem.hamiltonian(states)
-    h_error = h_vals - h_vals[0]
-    if nu:
-        inv_vals = invariants.values(states)
-        invariant_error = inv_vals - inv_vals[0]
-    else:
-        invariant_error = np.zeros((n_steps + 1, 0))
+    h_error, invariant_error = _deviations(problem, invariants if nu else None, states)
     return Trajectory(
         h=h,
-        times=times,
+        times=h * np.arange(n_steps + 1),
         states=states,
         h_error=h_error,
         invariant_error=invariant_error,

@@ -37,10 +37,12 @@ class ConfigError(ValueError):
     """Raised for invalid problem or method parameters before any stepping happens."""
 
 
-def _check_count(name, value):
+def _check_count(name, value, low=None):
     # bool is an int subclass; a float, even a whole one, is no count
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"need {name} >= {low}, got {name}={value}")
 
 
 def _is_real(value):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polybasis import gauss_rule, integral_table, legendre_table, xi_coefficient
-from .problems import _check_count
+from .problems import ConfigError, _check_count
 
 __all__ = [
     "TableauMatrices",
@@ -58,11 +58,9 @@ def build_hbvm_tableau(k: int, s: int) -> TableauMatrices:
     finds the entry of an equal int and raises ConfigError.
     """
     _check_count("k", k)
-    _check_count("s", s)
-    if s < 1:
-        raise ValueError(f"need s >= 1, got s={s}")
+    _check_count("s", s, 1)
     if k < s:
-        raise ValueError(f"need k >= s, got k={k}, s={s}")
+        raise ConfigError(f"need k >= s, got k={k}, s={s}")
     rule = gauss_rule(k)
     c, b = rule.nodes, rule.weights
     P = legendre_table(s - 1, c).T
@@ -77,8 +75,7 @@ def build_hbvm_tableau(k: int, s: int) -> TableauMatrices:
 
 def xhat_matrix(s: int) -> np.ndarray:
     """(s+1) x s step matrix X with int_0^c P_j = sum_i X[i, j] P_i(c)."""
-    if s < 1:
-        raise ValueError(f"need s >= 1, got s={s}")
+    _check_count("s", s, 1)
     X = np.zeros((s + 1, s))
     X[0, 0] = 0.5
     for j in range(1, s):

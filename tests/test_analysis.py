@@ -1,6 +1,7 @@
 """Order estimation, reference solutions, and drift diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,11 @@ def test_estimate_orders_validation():
 
 def test_max_norm_error():
     assert max_norm_error(np.array([1.0, 2.0]), np.array([1.0, 2.5])) == 0.5
+    # shapes that differ are refused by name, not broadcast into a distance
+    for y, reference in ((np.zeros(4), np.ones(1)), (np.zeros((2, 4)), np.zeros(4)), ([0.0], 0.0)):
+        message = f"state shape {np.shape(y)} differs from reference shape {np.shape(reference)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            max_norm_error(y, reference)
 
 
 def test_reference_solution_whole_periods_is_initial_state():
@@ -146,6 +152,18 @@ def test_drift_report_monitors_unimposed_invariants():
     # the plain method conserves quadratic L1 but lets the cubic-like L2 walk
     assert report.invariant_max[0] <= 1e-12
     assert report.invariant_max[1] > 1e-7
+
+
+@pytest.mark.parametrize("label", [None, "angular_momentum_only", "angular_momentum_and_lrl"])
+def test_drift_report_of_the_imposed_set_is_the_trajectory_series(label):
+    # integrate and drift_report take their deviations from one rule
+    prob = kepler_problem(0.6)
+    invariants = None if label is None else kepler_invariants(label)
+    traj = integrate(prob, invariants, MethodConfig(s=3, k=6), 0.1, 20)
+    report = drift_report(traj, prob, invariants)
+    assert report.invariant_error.shape == (21, 0 if invariants is None else invariants.nu)
+    for a, b in ((report.h_error, traj.h_error), (report.invariant_error, traj.invariant_error)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def test_cost_ratio_reference_values():

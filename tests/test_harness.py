@@ -75,11 +75,10 @@ def test_spec_validation_rejects_bad_combinations():
         replace(good, invariants="none").validate()
     with pytest.raises(ConfigError, match=r"needs --invariants \(the oscillator4 problem defines none\)$"):
         replace(good, problem="oscillator4", invariants="none").validate()
-    # nu is the size of the invariant set the label builds
+    # the plan's nu is the size of the invariant set the label builds
     for label, nu in (("none", 0), ("L1", 1), ("L1L2", 2)):
-        spec = replace(good, invariants=label)
-        built = spec.build_invariants()
-        assert spec.nu() == nu == (0 if built is None else built.nu)
+        plan = replace(good, method="elim" if nu else "hbvm", invariants=label).validate()
+        assert plan.nu == nu == (0 if plan.invariants is None else plan.invariants.nu)
     # reproduce-paper is a subcommand, not an experiment a spec can name
     with pytest.raises(ConfigError, match="unknown experiment 'reproduce-paper'"):
         replace(good, experiment="reproduce-paper").validate()
@@ -740,6 +739,31 @@ def test_reproduce_paper_integrates_each_run_once(tmp_path, monkeypatch):
     calls = logged_calls()
     assert len(calls) == 4 * 2 + 4 and set(calls.values()) == {1}
     assert {config.fp_tolerance for config, _, _ in calls} == {1e-13}
+
+
+def test_each_invocation_builds_its_problem_once(tmp_path, monkeypatch):
+    # validate builds the problem record, and the runners read it from the plan
+    built = []
+    named = harness._named_problem
+
+    def counted(name, eccentricity):
+        built.append(name)
+        return named(name, eccentricity)
+
+    monkeypatch.setattr(harness, "_named_problem", counted)
+    elim = ["--method", "elim", "-s", "3", "-k", "6", "--invariants", "L1"]
+    two = ["--steps", "0.2,0.1", "--horizon", "0.4"]
+    for argv in (["convergence", *elim, *two], ["alpha-norm", *elim, *two],
+                 ["iterations", *elim, *two], ["drift", *elim, "--steps", "0.1", "--horizon", "1"],
+                 ["tableau", "-s", "2"]):
+        built.clear()
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert built == ["kepler"], argv[0]
+    # reproduce-paper validates each of its eight specs once
+    _small_paper(monkeypatch)
+    built.clear()
+    assert main(["reproduce-paper", "--out-dir", str(tmp_path / "paper")]) == 0
+    assert built == ["kepler"] * 8
 
 
 def _isotropic_oscillator(eccentricity):

@@ -823,7 +823,7 @@ def test_step_rejects_bad_inputs():
             integrate(prob, inv, config, 0.1, n_steps)
     # no steps at all, or more than a state array can address: a ConfigError,
     # not an empty trajectory or NumPy's ValueError
-    with pytest.raises(ConfigError, match="^n_steps must be >= 1, got 0"):
+    with pytest.raises(ConfigError, match="^need n_steps >= 1, got n_steps=0$"):
         integrate(prob, None, MethodConfig(s=2, k=4), 0.1, 0)
     for n_steps in (_max_steps(prob.dim) + 1, 10**300):
         with pytest.raises(ConfigError, match="n_steps"):

@@ -1,8 +1,13 @@
 """Benchmark Hamiltonian systems and their conserved quantities."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from linteg.analysis import cost_ratio
+from linteg.integrators import MethodConfig, integrate
+from linteg.polybasis import gauss_rule, integral_table, legendre_table, xi_coefficient
 from linteg.problems import (
     ConfigError,
     HamiltonianProblem,
@@ -13,6 +18,7 @@ from linteg.problems import (
     kepler_problem,
     polynomial_oscillator,
 )
+from linteg.tableau import build_hbvm_tableau, xhat_matrix
 
 
 def _fd_gradient(f, y, eps=1e-6):
@@ -265,6 +271,40 @@ def test_polynomial_oscillator_validation():
             polynomial_oscillator(degree)
         assert str(info.value) == f"degree must be an integer, got {degree!r}"
     assert polynomial_oscillator(np.int64(4)).name == "oscillator4"
+
+
+_COST_COUNTS = ("r1", "k1", "r2", "k2", "nu")
+# every public count argument: (function, its other arguments, the count's name, its least value)
+_COUNT_ARGUMENTS = [
+    (gauss_rule, {}, "n", 1),
+    (legendre_table, {"x": [0.5]}, "n_max", 0),
+    (integral_table, {"c": [0.5]}, "n_max", 0),
+    (xi_coefficient, {}, "i", 1),
+    (build_hbvm_tableau, {"s": 2}, "k", 2),
+    (build_hbvm_tableau, {"k": 3}, "s", 1),
+    (xhat_matrix, {}, "s", 1),
+    *[(cost_ratio, {other: 1 if other == "nu" else 12 for other in _COST_COUNTS if other != name},
+       name, 0 if name == "nu" else 1) for name in _COST_COUNTS],
+    (polynomial_oscillator, {}, "degree", 2),
+    (partial(integrate, kepler_problem(0.6), None, MethodConfig(3, 3), 0.1), {}, "n_steps", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "function, others, name, least", _COUNT_ARGUMENTS,
+    ids=[f"{getattr(f, '__name__', 'integrate')}-{name}" for f, _, name, _ in _COUNT_ARGUMENTS],
+)
+def test_every_count_argument_is_an_integer_checked_by_one_rule(function, others, name, least):
+    # a float, even a whole one, and a bool are no counts
+    for value in (2.0, True):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value!r}$"):
+            function(**others, **{name: value})
+    # below its least value: "need n >= 1, got n=0", or for k the pair rule
+    # k >= s and for degree the list of degrees, each naming the argument
+    with pytest.raises(ConfigError, match=f"^(need )?{name} ") as info:
+        function(**others, **{name: least - 1})
+    if name not in ("k", "degree"):
+        assert str(info.value) == f"need {name} >= {least}, got {name}={least - 1}"
 
 
 def _shipped_problems():
