@@ -323,16 +323,13 @@ def _write_drift(plan: _Plan, traj, out: Path) -> None:
         ["n", "t", "h_error"] + [f"err_{lab}" for lab in facts.monitors] + _alpha_names(nu)
         + ["iterations", "fallback"]
     )
-    rows = []
-    for i in range(n + 1):
-        row = [str(i), _fmt(traj.times[i]), _fmt(report.h_error[i])]
-        row += [_fmt(e) for e in report.invariant_error[i]]
-        if i == 0:
-            row += [""] * nu + ["", ""]
-        else:
-            row += [_fmt(a) for a in traj.alpha[i - 1]]
-            row += [str(int(traj.iterations[i - 1])), str(int(traj.fallback[i - 1]))]
-        rows.append(row)
+    rows = [
+        [str(i), _fmt(t), _fmt(e)] + [_fmt(x) for x in errs]
+        for i, (t, e, errs) in enumerate(zip(traj.times, report.h_error, report.invariant_error))
+    ]
+    rows[0] += [""] * nu + ["", ""]  # step 0 has no alpha, sweeps or fallback
+    for row, alpha, sweeps, fell in zip(rows[1:], traj.alpha, traj.iterations, traj.fallback):
+        row += [_fmt(a) for a in alpha] + [str(int(sweeps)), str(int(fell))]
     _write_csv(out, header, rows)
     print(
         f"h={_fmt(h)}  n={n}  max|H err|={_fmt(report.h_max)}  "
@@ -370,6 +367,8 @@ def run_experiment(spec: ExperimentSpec) -> None:
     plan = spec.validate()
     if spec.out is None and spec.experiment != "tableau":
         raise ConfigError("this experiment writes CSV; pass --out")
+    if spec.out is not None and Path(spec.out).is_dir():
+        raise ConfigError(f"--out {spec.out!r} names a directory; pass a file path")
     _RUNNERS[spec.experiment](plan, None if spec.out is None else Path(spec.out))
 
 
@@ -423,22 +422,17 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
         paper.update(fp_tolerance=tol, fp_tolerance_convergence=tol)
     conv_tol, base_tol = paper["fp_tolerance_convergence"], paper["fp_tolerance"]
     steps = paper["step_sizes"]
-    specs = {
-        label: ExperimentSpec(
+    plans, drift_plans = {}, {}
+    for label, fields in paper["methods"].items():
+        spec = ExperimentSpec(
             "convergence", problem=paper["problem"], eccentricity=paper["eccentricity"],
             step_sizes=steps, horizon=paper["horizon"], tol=base_tol, **fields,
         )
-        for label, fields in paper["methods"].items()
-    }
-    drift_specs = {
-        label: replace(
+        plans[label] = spec.validate()
+        drift_plans[label] = replace(
             spec, experiment="drift", step_sizes=(paper["drift_step_size"],),
             horizon=paper["drift_horizon"],
-        )
-        for label, spec in specs.items()
-    }
-    plans = {label: spec.validate() for label, spec in specs.items()}
-    drift_plans = {label: spec.validate() for label, spec in drift_specs.items()}
+        ).validate()
     labels = list(plans)
     y_ref = reference_solution(plans[labels[0]].problem, min(steps) / 2.0, paper["horizon"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -165,8 +165,8 @@ def _solve_scaling(g, b, w, alpha_old, rhs_noise):
     the determinant, with the norms taken by hand: at these sizes NumPy's
     per-call overhead is most of the cost.  A determinant that is zero,
     subnormal, overflowing or not a number (every non-finite Gamma gives
-    one) goes to the LU path that nu > 2 always takes, so singular and
-    badly scaled systems are judged exactly as before.  Both paths yield
+    one) goes to the LU path that nu > 2 always takes, whose condition
+    number judges singular and badly scaled systems.  Both paths yield
     cond, norm(inv(Gamma), inf), alpha, max|w alpha| and max|alpha -
     alpha_old| for one set of acceptance rules.
     """
@@ -267,19 +267,19 @@ def _stepper(problem, invariants, config, h):
     """
     s, k = config.s, config.k
     nu = invariants.nu if invariants is not None else 0
+    r = config.resolved_r() if nu else k
     d = problem.dim
     tol = config.fp_tolerance
     grad_h = problem.grad_h
     JT = _structure_transpose(problem.m)
 
     # One stage array U: rows [:k] are the Hamiltonian nodes, rows [-r:] the
-    # invariant nodes.  With r = k both cover all of U; otherwise the r-node
-    # rows are stacked under the k-node ones.
+    # invariant nodes.  With r = k (always at nu = 0) both cover all of U;
+    # otherwise the r-node rows follow the k-node ones.
     tab_k = build_hbvm_tableau(k, s)
     I, PTB_k = tab_k.I, tab_k.PTB
     Ieta = I
     eta = np.ones(s)
-    stacked = False
     # G and, with invariants, Phi in one flat buffer, so that one call
     # takes the absolute values of both for the noise floor; G_raw holds
     # PTB_k @ grad H before J acts on it
@@ -287,11 +287,9 @@ def _stepper(problem, invariants, config, h):
     G = GP[: s * d].reshape(s, d)
     G_raw = np.empty((s, d))
     if nu:
-        r = config.resolved_r()
-        stacked = r != k
-        tab_r = build_hbvm_tableau(r, s) if stacked else tab_k
+        tab_r = build_hbvm_tableau(r, s) if r != k else tab_k
         PTB_r = tab_r.PTB
-        if stacked:
+        if r != k:
             I = np.vstack((I, tab_r.I))
         gradients = invariants.gradients
         # row j holds Phi[j, a, v] at a nu + v; Phi3 is the same (s, d, nu)
@@ -345,9 +343,9 @@ def _stepper(problem, invariants, config, h):
     zero_stage = np.zeros((d, s)).dot(IetaT).T * h
     H = np.full_like(zero_stage, h)
     Y0 = np.empty_like(zero_stage)
-    # each stage array with its transpose, the out of the stage product:
-    # views made here once, where a .T per sweep costs 0.1 us or more
-    stages = [(U, U.T) for U in (np.empty_like(zero_stage), np.empty_like(zero_stage))]
+    # each stage array, its transpose (the out of the stage product) and its
+    # rows [:k] and [-r:]: views made once, where one per sweep costs 0.1 us
+    stages = [(U, U.T, U[:k], U[-r:]) for U in map(np.empty_like, (zero_stage, zero_stage))]
     GT = G.T
     record = StepWorkspace(G, eta, np.zeros(nu), np.zeros((nu, nu)), np.zeros(nu), 0, False)
     Gamma_flat = record.Gamma.reshape(nu * nu)
@@ -368,15 +366,15 @@ def _stepper(problem, invariants, config, h):
         # stage update is y0 + h ((I eta) @ G), evaluated in place in that
         # order.
         #
-        # A sweep converges when residual <= tol (1 + max|U_next|).  That
-        # maximum is a reduction, so it is taken only when the test could
-        # pass.  As max|U_next| <= max|U| + residual (1 + eps), `bound`
-        # (max|y0| plus twice each residual since the last exact maximum)
-        # stays above max|U|, and a residual above tol (1 + bound), with 1%
-        # to spare for rounding, fails the exact test too.  Every sweep
-        # count, and so every output, is the one the exact test on every
-        # sweep gives.
-        (U, UT), (V, VT) = stages
+        # A sweep converges when residual <= tol (1 + max|U_next|) and that
+        # maximum is finite.  It is a reduction, so it is taken only when the
+        # test could pass.  As max|U_next| <= max|U| + residual (1 + eps),
+        # `bound` (max|y0| plus twice each residual since the last exact
+        # maximum) stays above max|U|, and a residual above tol (1 + bound),
+        # with 1% to spare for rounding, fails the exact test too.  Every
+        # sweep count, and so every output, is the one the exact test on
+        # every sweep gives.
+        (U, UT, Uk, Ur), (V, VT, Vk, Vr) = stages
         Y0[...] = y0
         np.add(zero_stage, Y0, U)
         # max|U|: every row of U is y0 + 0.  Python's max is _amax on a
@@ -387,9 +385,9 @@ def _stepper(problem, invariants, config, h):
         for sweeps in range(1, _MAX_SWEEPS + 1):
             # gamma_j = J sum_i b_i P_j(c_i) grad H(u(c_i h)): J, a signed
             # permutation, acts on the s projected rows, not the k gradients
-            PTB_k.dot(grad_h(U[:k] if stacked else U), G_raw).dot(JT, G)
+            PTB_k.dot(grad_h(Uk), G_raw).dot(JT, G)
             if nu:
-                PTB_r.dot(gradients(U[-r:] if stacked else U).reshape(r, d * nu), Phi)
+                PTB_r.dot(gradients(Ur).reshape(r, d * nu), Phi)
                 # a NaN column makes its rhs entry NaN and the solve fall
                 # back, so Python's max, which can pass over a NaN, decides
                 # nothing np.max would not
@@ -426,12 +424,12 @@ def _stepper(problem, invariants, config, h):
             V += Y0
             U -= V  # |U - V| is |V - U| bit for bit
             residual = float(_amax(np.absolute(U, U), None))
-            U, UT, V, VT = V, VT, U, UT
+            U, UT, Uk, Ur, V, VT, Vk, Vr = V, VT, Vk, Vr, U, UT, Uk, Ur
             bound += 2.0 * residual
             # "not >" so that a NaN residual or bound takes the exact test
             if not residual > tol * (1.0 + bound) * 1.01:
                 bound = float(_amax(np.absolute(U, V), None))
-                if residual <= tol * (1.0 + bound):
+                if residual <= tol * (1.0 + bound) and bound < math.inf:
                     break
         else:
             raise NonConvergence(
@@ -454,13 +452,13 @@ def _stepper(problem, invariants, config, h):
 
 def _one_step(problem, invariants, config, y0, h):
     """One validated step through a fresh stepper; returns (y1, its record)."""
-    nu = invariants.nu if invariants is not None else 0
-    y0, h = _validate(problem, config, nu, y0, h)
+    _, y0, h = _validate(problem, invariants, config, y0, h)
     return _stepper(problem, invariants, config, h)(y0)
 
 
-def _validate(problem, config, nu, y0, h):
-    """Check a step's inputs once; return the state as a float array and h as a float."""
+def _validate(problem, invariants, config, y0, h):
+    """Check a step's inputs once; return nu, the state as a float array and h as a float."""
+    nu = invariants.nu if invariants is not None else 0
     config.validate(nu=nu)
     if not _is_real(h):
         raise ConfigError(f"step size must be a real number, got {h!r}")
@@ -476,7 +474,7 @@ def _validate(problem, config, nu, y0, h):
         )
     if not np.all(np.isfinite(y0)):
         raise ConfigError("state must be finite")
-    return y0, h
+    return nu, y0, h
 
 
 def _deviations(problem, invariants, states):
@@ -526,8 +524,7 @@ def integrate(
     n_steps: int,
 ) -> Trajectory:
     """March n_steps steps of size h from the problem's initial state."""
-    nu = invariants.nu if invariants is not None else 0
-    y, h = _validate(problem, config, nu, problem.initial_state, h)
+    nu, y, h = _validate(problem, invariants, config, problem.initial_state, h)
     _check_count("n_steps", n_steps, 1)
     if n_steps > _max_steps(problem.dim):
         raise ConfigError(
@@ -546,12 +543,9 @@ def integrate(
         try:
             y, record = step(y)
         except NonConvergence as exc:
-            raise NonConvergence(
-                f"step {i + 1} of {n_steps}: {exc}",
-                residual=exc.residual,
-                iterations=exc.iterations,
-                step_index=i + 1,
-            ) from exc
+            exc.args = (f"step {i + 1} of {n_steps}: {exc}",)
+            exc.step_index = i + 1
+            raise
         states[i + 1] = y
         iterations[i] = record.iterations
         fallbacks[i] = record.gamma_fallback_used

@@ -314,6 +314,39 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     )
 
 
+def test_overflowing_stages_fail_the_run(tmp_path, capsys):
+    # at h = 1e300 the stages overflow; no step is taken as converged
+    out = tmp_path / "x.csv"
+    argv = ["drift", "--method", "hbvm", "-s", "2", "-k", "4", "--steps", "1e300",
+            "--horizon", "1e300", "--out", str(out)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: step 1 of 1: no fixed point after 200 sweeps")
+
+
+def test_an_out_that_names_a_directory_fails_before_any_integration(
+    tmp_path, monkeypatch, capsys
+):
+    def never(*args):
+        raise AssertionError("integrated before --out was checked")
+
+    monkeypatch.setattr(harness, "integrate", never)
+    monkeypatch.chdir(tmp_path)
+    run = ["drift", "--method", "hbvm", "-s", "3", "-k", "12", "--steps", "0.1",
+           "--horizon", "1000"]
+    for out in (str(tmp_path), ""):  # "" is the working directory
+        assert main([*run, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {out!r} names a directory; pass a file path\n"
+    assert main(["tableau", "-s", "3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def _two_cpus(monkeypatch):
     # fork a worker even on a host with one usable CPU
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -710,11 +743,10 @@ def test_reproduce_paper_tables_match_the_subcommands(tmp_path, monkeypatch, cap
             assert components == [{key: row[key] for key in components[0]} for row in first]
 
 
-def test_reproduce_paper_integrates_each_run_once(tmp_path, monkeypatch):
-    _small_paper(monkeypatch)
-    # runs may go to forked workers, so each call appends a line to a file
-    # that every process writes to
-    log = tmp_path / "calls.jsonl"
+def _log_integrations(monkeypatch, log):
+    """Count harness.integrate's calls by (config, nu, h); returns a reader
+    of the counts.  Runs may go to forked workers, so each call appends a
+    line to a file that every process writes to."""
     integrate = harness.integrate
 
     def counted(problem, invariants, config, h, n_steps):
@@ -729,6 +761,13 @@ def test_reproduce_paper_integrates_each_run_once(tmp_path, monkeypatch):
             return collections.Counter((MethodConfig(**c), nu, h) for c, nu, h in entries)
 
     monkeypatch.setattr(harness, "integrate", counted)
+    return logged_calls
+
+
+def test_reproduce_paper_integrates_each_run_once(tmp_path, monkeypatch):
+    _small_paper(monkeypatch)
+    log = tmp_path / "calls.jsonl"
+    logged_calls = _log_integrations(monkeypatch, log)
     # two tolerances: each method runs each step twice, then drifts once
     assert main(["reproduce-paper", "--out-dir", str(tmp_path / "a")]) == 0
     calls = logged_calls()
@@ -739,6 +778,24 @@ def test_reproduce_paper_integrates_each_run_once(tmp_path, monkeypatch):
     calls = logged_calls()
     assert len(calls) == 4 * 2 + 4 and set(calls.values()) == {1}
     assert {config.fp_tolerance for config, _, _ in calls} == {1e-13}
+
+
+def test_env_tolerance_replaces_both_paper_tolerances(tmp_path, monkeypatch):
+    # ELIM_FP_TOL stands in for the published 1e-15 and 1e-14 alike, and
+    # --tol overrides it; parameters.json records the tolerances used
+    _small_paper(monkeypatch)
+    monkeypatch.setenv("ELIM_FP_TOL", "1e-13")
+    log = tmp_path / "calls.jsonl"
+    logged_calls = _log_integrations(monkeypatch, log)
+    for flags, tol in (([], 1e-13), (["--tol", "1e-12"], 1e-12)):
+        out = tmp_path / str(tol)
+        assert main(["reproduce-paper", "--out-dir", str(out), *flags]) == 0
+        calls = logged_calls()
+        assert len(calls) == 4 * 2 + 4 and set(calls.values()) == {1}
+        assert {config.fp_tolerance for config, _, _ in calls} == {tol}
+        params = json.loads((out / "parameters.json").read_text())
+        assert params["fp_tolerance"] == params["fp_tolerance_convergence"] == tol
+        log.unlink()
 
 
 def test_each_invocation_builds_its_problem_once(tmp_path, monkeypatch):

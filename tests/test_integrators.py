@@ -713,6 +713,17 @@ def test_non_convergence_raises_with_context():
     assert "step" in str(err.value)
 
 
+@pytest.mark.parametrize("h", [1e300, 1e200])
+def test_a_step_whose_stages_overflow_does_not_converge(h):
+    # the stages overflow to inf, so tol (1 + max|U|) is infinite and any
+    # residual would pass it; a finite maximum is part of the test
+    prob = kepler_problem(0.6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonConvergence) as err:
+            hbvm_step(prob, MethodConfig(s=2, k=4), prob.initial_state, h)
+    assert err.value.iterations == _MAX_SWEEPS
+
+
 def test_config_validation():
     inv = kepler_invariants("angular_momentum_and_lrl")
     with pytest.raises(ConfigError):
