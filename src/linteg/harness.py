@@ -89,6 +89,8 @@ class ExperimentSpec:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.invariants not in _invariant_labels():
             raise ConfigError(f"unknown invariant selection {self.invariants!r}")
+        if not isinstance(self.out, (str, os.PathLike, type(None))):
+            raise ConfigError(f"out must be a file path, got {self.out!r}")
         problem = _named_problem(self.problem, self.eccentricity)
         labels = _facts(self.problem).invariants
         if self.method == "gauss" and self.k is not None and self.k != self.s:
@@ -107,12 +109,12 @@ class ExperimentSpec:
         if self.experiment != "tableau":
             if not self.step_sizes:
                 raise ConfigError("need at least one step size (--steps)")
-            if not all(0.0 < h < math.inf for h in self.step_sizes):
+            if not all(_is_real(h) and 0.0 < h < math.inf for h in self.step_sizes):
                 raise ConfigError("step sizes must be positive and finite")
             if self.experiment == "drift" and len(self.step_sizes) != 1:
                 raise ConfigError("drift runs use exactly one step size")
-            if not 0.0 < self.horizon < math.inf:
-                raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
+            if not (_is_real(self.horizon) and 0.0 < self.horizon < math.inf):
+                raise ConfigError(f"horizon must be positive and finite, got {self.horizon!r}")
             if self.experiment == "alpha-norm" and self.method != "elim":
                 raise ConfigError("alpha-norm tracks the elim scaling; use --method elim")
             for h in self.step_sizes:
@@ -154,7 +156,6 @@ class _Plan:
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -348,7 +349,6 @@ def _run_tableau(plan: _Plan, out: Optional[Path]) -> None:
     if out is None:
         print(payload)
     else:
-        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(payload + "\n")
         print(f"wrote {out}")
 
@@ -367,8 +367,10 @@ def run_experiment(spec: ExperimentSpec) -> None:
     plan = spec.validate()
     if spec.out is None and spec.experiment != "tableau":
         raise ConfigError("this experiment writes CSV; pass --out")
-    if spec.out is not None and Path(spec.out).is_dir():
-        raise ConfigError(f"--out {spec.out!r} names a directory; pass a file path")
+    if spec.out is not None:
+        if Path(spec.out).is_dir():
+            raise ConfigError(f"--out {spec.out!r} names a directory; pass a file path")
+        Path(spec.out).parent.mkdir(parents=True, exist_ok=True)
     _RUNNERS[spec.experiment](plan, None if spec.out is None else Path(spec.out))
 
 
@@ -433,9 +435,9 @@ def _reproduce_paper(out_dir: Path, tol: Optional[float]) -> None:
             spec, experiment="drift", step_sizes=(paper["drift_step_size"],),
             horizon=paper["drift_horizon"],
         ).validate()
+    out_dir.mkdir(parents=True, exist_ok=True)
     labels = list(plans)
     y_ref = reference_solution(plans[labels[0]].problem, min(steps) / 2.0, paper["horizon"])
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # every distinct (label, tolerance, h) is integrated once, in one batch
     # with the drift runs; the tables read the store

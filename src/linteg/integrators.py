@@ -163,32 +163,34 @@ def _solve_scaling(g, b, w, alpha_old, rhs_noise):
 
     For nu = 1 and nu = 2 the inverse is the reciprocal or the adjugate over
     the determinant, with the norms taken by hand: at these sizes NumPy's
-    per-call overhead is most of the cost.  A determinant that is zero,
-    subnormal, overflowing or not a number (every non-finite Gamma gives
-    one) goes to the LU path that nu > 2 always takes, whose condition
-    number judges singular and badly scaled systems.  Both paths yield
-    cond, norm(inv(Gamma), inf), alpha, max|w alpha| and max|alpha -
-    alpha_old| for one set of acceptance rules.
+    per-call overhead is most of the cost.  A zero or non-finite 1 x 1
+    Gamma has no inverse; any other gives LU's values.  A 2 x 2 determinant
+    that is zero, subnormal, overflowing or not a number goes to the LU
+    path that nu > 2 always takes, whose condition number judges singular
+    and badly scaled systems.  Every path yields cond, norm(inv(Gamma),
+    inf), alpha, max|w alpha| and max|alpha - alpha_old| for one set of
+    acceptance rules.
     """
     nu = len(b)
-    det = g[0] if nu == 1 else g[0] * g[3] - g[1] * g[2] if nu == 2 else 0.0
-    if _TINY <= abs(det) < math.inf:
-        if nu == 1:
-            inv = 1.0 / det
-            cond = abs(g[0]) * abs(inv)
-            inv_norm = abs(inv)
-            alpha = [inv * b[0]]
-            w_alpha = abs(w[0] * alpha[0])
-            moved = abs(alpha[0] - alpha_old[0])
-        else:
-            i00, i01, i10, i11 = g[3] / det, -g[1] / det, -g[2] / det, g[0] / det
-            a00, a01, a10, a11 = abs(i00), abs(i01), abs(i10), abs(i11)
-            # 1-norms (largest column sum) for cond, inf-norm (largest row sum) for the floor
-            cond = max(abs(g[0]) + abs(g[2]), abs(g[1]) + abs(g[3])) * max(a00 + a10, a01 + a11)
-            inv_norm = max(a00 + a01, a10 + a11)
-            alpha = [i00 * b[0] + i01 * b[1], i10 * b[0] + i11 * b[1]]
-            w_alpha = max(abs(w[0] * alpha[0]), abs(w[1] * alpha[1]))
-            moved = max(abs(alpha[0] - alpha_old[0]), abs(alpha[1] - alpha_old[1]))
+    det = g[0] * g[3] - g[1] * g[2] if nu == 2 else 0.0
+    if nu == 1:
+        if not 0.0 < abs(g[0]) < math.inf:
+            return [0.0], True
+        inv = 1.0 / g[0]
+        cond = abs(g[0]) * abs(inv)
+        inv_norm = abs(inv)
+        alpha = [inv * b[0]]
+        w_alpha = abs(w[0] * alpha[0])
+        moved = abs(alpha[0] - alpha_old[0])
+    elif _TINY <= abs(det) < math.inf:
+        i00, i01, i10, i11 = g[3] / det, -g[1] / det, -g[2] / det, g[0] / det
+        a00, a01, a10, a11 = abs(i00), abs(i01), abs(i10), abs(i11)
+        # 1-norms (largest column sum) for cond, inf-norm (largest row sum) for the floor
+        cond = max(abs(g[0]) + abs(g[2]), abs(g[1]) + abs(g[3])) * max(a00 + a10, a01 + a11)
+        inv_norm = max(a00 + a01, a10 + a11)
+        alpha = [i00 * b[0] + i01 * b[1], i10 * b[0] + i11 * b[1]]
+        w_alpha = max(abs(w[0] * alpha[0]), abs(w[1] * alpha[1]))
+        moved = max(abs(alpha[0] - alpha_old[0]), abs(alpha[1] - alpha_old[1]))
     else:
         # no inverse (a non-finite entry, a singular Gamma) leaves cond
         # infinite; alpha is formed only within the bound, as inv @ rhs of a
@@ -242,15 +244,6 @@ def _scaling_system_nu2(G, Phi, w):
     return [w0 * a_prev, w1 * a, w0 * b_prev, w1 * b], [rhs0, rhs1]
 
 
-def _structure_transpose(m):
-    """J^T.
-
-    g @ J^T is apply_structure(g, m) when g is finite, but for the sign of an
-    exact zero; a non-finite entry of g makes its whole row NaN.
-    """
-    return apply_structure(np.eye(2 * m), m)
-
-
 def _stepper(problem, invariants, config, h):
     """Build the sweep loop of a run of steps of size h; returns step(y0).
 
@@ -271,7 +264,9 @@ def _stepper(problem, invariants, config, h):
     d = problem.dim
     tol = config.fp_tolerance
     grad_h = problem.grad_h
-    JT = _structure_transpose(problem.m)
+    # J^T: g @ J^T is apply_structure(g, m) when g is finite, but for the
+    # sign of an exact zero; a non-finite entry of g makes its whole row NaN
+    JT = apply_structure(np.eye(d), problem.m)
 
     # One stage array U: rows [:k] are the Hamiltonian nodes, rows [-r:] the
     # invariant nodes.  With r = k (always at nu = 0) both cover all of U;

@@ -270,6 +270,6 @@ def _named_problem(name: str, eccentricity: float) -> HamiltonianProblem:
         return _PROBLEMS[name].build(eccentricity)
     # no leading zero, and at most four digits, as int() refuses a string of
     # thousands; polynomial_oscillator checks the value
-    if not re.fullmatch(r"oscillator[1-9][0-9]{0,3}", name):
+    if not (isinstance(name, str) and re.fullmatch(r"oscillator[1-9][0-9]{0,3}", name)):
         raise ConfigError(f"unknown problem {name!r}")
     return polynomial_oscillator(int(name.removeprefix("oscillator")))

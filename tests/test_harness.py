@@ -347,6 +347,65 @@ def test_an_out_that_names_a_directory_fails_before_any_integration(
     assert list(tmp_path.iterdir()) == []
 
 
+def _stop_at_integration(calls, directory=None):
+    # a stand-in for an integration: it notes whether directory exists when
+    # it is called, and fails the run there (exit 1)
+    def stop(*args):
+        calls.append(directory is not None and Path(directory).is_dir())
+        raise NonConvergence("stopped before integrating")
+
+    return stop
+
+
+def test_out_directories_are_made_before_any_integration(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(harness, "integrate", _stop_at_integration(calls))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("a file\n")
+    run = ["drift", "--method", "hbvm", "-s", "3", "-k", "12", "--steps", "0.1",
+           "--horizon", "300"]
+    # a parent path through a regular file fails at once, writing nothing
+    for argv in ([*run, "--out", "afile/x.csv"], ["tableau", "-s", "3", "--out", "afile/t.json"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "afile" in line
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == "a file\n"
+    # a nested directory exists by the time the first run starts
+    monkeypatch.setattr(harness, "integrate", _stop_at_integration(calls, "new/sub"))
+    assert main([*run, "--out", "new/sub/x.csv"]) == 1
+    assert calls == [True] and not Path("new/sub/x.csv").exists()
+    # and reproduce-paper makes --out-dir before it integrates its reference
+    monkeypatch.setattr(harness, "reference_solution", _stop_at_integration(calls, "deep/er"))
+    assert main(["reproduce-paper", "--out-dir", "deep/er"]) == 1
+    assert calls == [True, True]
+    capsys.readouterr()
+
+
+def test_spec_fields_of_the_wrong_type_are_named_before_any_integration(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "integrate", _stop_at_integration(calls))
+    good = ExperimentSpec("drift", method="hbvm", s=3, k=12, step_sizes=(0.1,), horizon=1.0,
+                          out="never.csv")
+    cases = (
+        (dict(problem=3), "unknown problem 3"),
+        (dict(step_sizes=("a",)), "step sizes must be positive and finite"),
+        (dict(step_sizes=(True,)), "step sizes must be positive and finite"),
+        (dict(horizon="x"), "horizon must be positive and finite, got 'x'"),
+        (dict(out=3), "out must be a file path, got 3"),
+    )
+    for fields_, message in cases:
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            harness.run_experiment(replace(good, **fields_))
+    assert calls == []
+    # a path object is a file path too
+    plan = replace(good, out=Path("never.csv")).validate()
+    assert plan.counts == [(0.1, 10)]
+
+
 def _two_cpus(monkeypatch):
     # fork a worker even on a host with one usable CPU
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

@@ -1,16 +1,20 @@
 """Stepping, fixed-point iteration, and the invariant-imposing scaling."""
 
 import hashlib
+import math
 import os
 import re
 import struct
+import subprocess
 import sys
 from dataclasses import fields
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from linteg import integrators
 from linteg.integrators import (
     MethodConfig,
     NonConvergence,
@@ -19,7 +23,6 @@ from linteg.integrators import (
     _scaling_system_nu2,
     _solve_scaling,
     _stepper,
-    _structure_transpose,
     elim_step,
     hbvm_step,
     integrate,
@@ -390,6 +393,48 @@ def test_solve_scaling_outputs_are_pinned():
     assert digest.hexdigest() == SOLVE_SCALING_SHA256
 
 
+def _lu_solve_scaling(g, b, w, alpha_old, rhs_noise):
+    # _solve_scaling's signature and return types over the LU reference
+    old = np.array(alpha_old)
+    Gamma = np.array(g).reshape(len(b), len(b))
+    alpha, fallback = _reference_solve_scaling(Gamma, np.array(b), np.array(w), old, rhs_noise)
+    return (alpha_old if alpha is old else alpha.tolist()), fallback
+
+
+def _no_lapack(*args, **kwargs):
+    raise AssertionError("a nu = 1 system reached np.linalg.inv")
+
+
+def test_nu1_systems_are_decided_without_lapack(monkeypatch):
+    # a 1 x 1 Gamma is decided by its reciprocal: zero and non-finite ones
+    # fall back without an inverse, and every other one, subnormal included,
+    # gives LU's values bit for bit.  1e-310's reciprocal overflows, so it
+    # falls back; 1.1e-308's is finite, so it is solved.
+    cases = [(g, [0.25 * g if math.isfinite(g) else 1.0], [1.0], [0.0], 0.0)
+             for g in (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-310, 1.1e-308)]
+    expected = [_lu_solve_scaling([g], *rest) for g, *rest in cases]
+    monkeypatch.setattr(np.linalg, "inv", _no_lapack)
+    for (g, *rest), (ref_alpha, ref_fallback) in zip(cases, expected):
+        alpha, fallback = _solve_scaling([g], *rest)
+        assert fallback is ref_fallback is (g != 1.1e-308)
+        assert struct.pack("d", *alpha) == struct.pack("d", *ref_alpha)
+
+
+def test_nu1_run_is_the_lu_run_without_lapack(monkeypatch):
+    # 20 steps of EHBVM(12, 3) with L imposed: the first sweep of a step
+    # solves a Gamma that is zero in exact arithmetic and sometimes exactly
+    # zero in floating point, which LU rejected as singular
+    run = partial(integrate, kepler_problem(0.6), kepler_invariants("angular_momentum_only"),
+                  MethodConfig(s=3, k=12, r=12), 0.1, 20)
+    with monkeypatch.context() as patch:
+        patch.setattr(integrators, "_solve_scaling", _lu_solve_scaling)
+        reference = run()
+    monkeypatch.setattr(np.linalg, "inv", _no_lapack)
+    traj = run()
+    for name in ("states", "alpha", "iterations", "fallback"):
+        assert getattr(traj, name).tobytes() == getattr(reference, name).tobytes()
+
+
 def _reference_elim_step(problem, invariants, config, y0, h):
     # the sweep written with tensordot, einsum and np.linalg.inv, with
     # separate stage arrays at the k and the r nodes; returns (y1, sweeps)
@@ -661,6 +706,26 @@ def test_symmetry_round_trip(maker):
     assert np.max(np.abs(yback - y0)) <= 1e-11
 
 
+@pytest.mark.parametrize("h", [math.pi / 4, -math.pi / 4], ids=["forward", "backward"])
+def test_hbvm_40_20_round_trip(h):
+    # the method is symmetric at high order too: a step of h and one of -h
+    # return to the start, here at eight steps per orbit
+    prob, config = kepler_problem(0.6), MethodConfig(s=20, k=40)
+    y1, _ = hbvm_step(prob, config, prob.initial_state, h)
+    yback, _ = hbvm_step(prob, config, y1, -h)
+    assert np.max(np.abs(yback - prob.initial_state)) <= 1e-13
+
+
+def test_hbvm_40_20_ten_periods_at_eight_steps_per_orbit():
+    # Kepler e = 0.6 over ten periods, after which the exact flow is back
+    # at the initial state: order 40 reaches the default tolerance's floor
+    # in 80 steps, and keeps H to round-off
+    prob = kepler_problem(0.6)
+    traj = integrate(prob, None, MethodConfig(s=20, k=40), math.pi / 4, 80)
+    assert np.max(np.abs(traj.states[-1] - prob.initial_state)) <= 1e-10
+    assert np.max(np.abs(traj.h_error)) <= 1e-13
+
+
 def test_negative_step_direction():
     prob = kepler_problem(0.6)
     y1, _ = hbvm_step(prob, MethodConfig(s=2, k=4), prob.initial_state, -0.05)
@@ -883,7 +948,7 @@ def test_projection_then_structure_equals_projected_vector_field(problem):
     # as a product with J^T (ndarray.dot, like its other products): for finite
     # gradients every term but one is a zero, so the result is
     # PTB @ (J grad H) bit for bit
-    JT = _structure_transpose(problem.m)
+    JT = apply_structure(np.eye(problem.dim), problem.m)
     rng = np.random.default_rng(29)
     for k, s in ((4, 2), (12, 3), (12, 8), (16, 3)):
         PTB = build_hbvm_tableau(k, s).PTB
@@ -949,6 +1014,36 @@ def test_sweeps_call_numpy_only_through_c(invariants, r):
     run = partial(integrate, kepler_problem(0.6), inv, MethodConfig(s=3, k=12, r=r), 0.1)
     run(1)  # builds and caches the tableau
     assert _numpy_frames(partial(run, 10)) == _numpy_frames(partial(run, 20))
+
+
+def _openblas_haswell_kernel_runs_here():
+    # OPENBLAS_CORETYPE=Haswell needs a CPU with AVX2 and FMA, and acts on
+    # OpenBLAS only
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = set(fh.read().split())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (OSError, KeyError, TypeError):
+        return False
+    return {"avx2", "fma"} <= flags and "openblas" in blas.lower()
+
+
+@pytest.mark.skipif(
+    not _openblas_haswell_kernel_runs_here(), reason="needs OpenBLAS on an AVX2 and FMA CPU"
+)
+def test_sweeps_call_numpy_only_through_c_under_the_haswell_kernel():
+    # Which NumPy calls a sweep makes must not depend on the BLAS kernel.
+    # OpenBLAS's Haswell kernel sums in another order than the one picked
+    # on an AVX-512 CPU, so a branch taken on a sum (an exactly zero Gamma)
+    # can go the other way.  The variable acts on the child process only.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_integrators.py::test_sweeps_call_numpy_only_through_c"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout
 
 
 @pytest.mark.parametrize(

@@ -126,6 +126,22 @@ def test_hbvm_tableau_bytes_are_pinned():
     assert digest.hexdigest() == HBVM_TABLEAUX_SHA256
 
 
+# the same over every HBVM(k, s) with 1 <= s <= k and 21 <= k <= 40, the
+# large-(k, s) methods that spend order rather than steps; like every pin
+# here it holds for the BLAS kernel it was recorded under
+HBVM_LARGE_TABLEAUX_SHA256 = "3db37e39bf52bcb4a3f3295b24b6d80d1fa88f1d3dc9b77dad52e855e621bcba"
+
+
+def test_large_hbvm_tableau_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for k in range(21, 41):
+        for s in range(1, k + 1):
+            tab = build_hbvm_tableau.__wrapped__(k, s)
+            for arr in (tab.c, tab.b, tab.P, tab.I, tab.PTB, tab.A):
+                digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == HBVM_LARGE_TABLEAUX_SHA256
+
+
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 12])
 def test_w_transformation_identity(s, k):
@@ -156,6 +172,13 @@ def test_order_conditions_b():
     # beyond the stage count
     tab = build_hbvm_tableau(12, 3)
     for q in range(1, 13):
+        assert np.sum(tab.b * tab.c ** (q - 1)) == pytest.approx(1.0 / q, abs=1e-14)
+
+
+def test_hbvm_40_20_rule_is_exact_to_degree_79():
+    # k = 40 Gauss nodes integrate every polynomial of degree 2k - 1 exactly
+    tab = build_hbvm_tableau(40, 20)
+    for q in range(1, 81):
         assert np.sum(tab.b * tab.c ** (q - 1)) == pytest.approx(1.0 / q, abs=1e-14)
 
 
