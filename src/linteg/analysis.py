@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .integrators import MethodConfig, Trajectory, _deviations, integrate
-from .problems import HamiltonianProblem, InvariantSet, _check_count, _facts
+from .problems import HamiltonianProblem, InvariantSet, _check_count, _check_real, _facts
 
 __all__ = [
     "DriftReport",
@@ -74,7 +74,7 @@ def reference_solution(
     adjusted to land exactly on the horizon.
     """
     for name, value in (("horizon", horizon), ("h_ref", h_ref)):
-        if not 0.0 < value < math.inf:
+        if not 0.0 < _check_real(name, value) < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
     n = _reference_steps(problem, h_ref, horizon)
     if n == 0:

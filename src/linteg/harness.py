@@ -27,7 +27,7 @@ import numpy as np
 from .analysis import _observed_order, _reference_steps, _whole_multiple
 from .analysis import drift_report, max_norm_error, reference_solution
 from .integrators import MethodConfig, NonConvergence, _max_steps, integrate
-from .problems import ConfigError, HamiltonianProblem, InvariantSet, _as_float, _facts, _is_real
+from .problems import ConfigError, HamiltonianProblem, InvariantSet, _check_real, _facts, _is_real
 from .problems import _PROBLEMS, _invariant_labels, _named_problem, _problem_names
 from .tableau import build_hbvm_tableau, tableau_to_json
 
@@ -83,7 +83,7 @@ class ExperimentSpec:
 
     def validate(self) -> _Plan:
         """Check every field, before any stepping; return the plan the runners execute."""
-        if self.experiment not in _RUNNERS:
+        if not isinstance(self.experiment, str) or self.experiment not in _RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.method not in _METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
@@ -107,13 +107,16 @@ class ExperimentSpec:
             raise ConfigError(f"invariant selections are defined for the {owners} problem")
         counts = []  # (h, n_steps) per step size: the horizon is a whole multiple of each
         if self.experiment != "tableau":
+            if not (isinstance(self.step_sizes, (tuple, list)) and all(
+                    _is_real(h) and 0.0 < _check_real("step size", h) < math.inf
+                    for h in self.step_sizes)):
+                raise ConfigError("step sizes must be positive and finite")
             if not self.step_sizes:
                 raise ConfigError("need at least one step size (--steps)")
-            if not all(_is_real(h) and 0.0 < h < math.inf for h in self.step_sizes):
-                raise ConfigError("step sizes must be positive and finite")
             if self.experiment == "drift" and len(self.step_sizes) != 1:
                 raise ConfigError("drift runs use exactly one step size")
-            if not (_is_real(self.horizon) and 0.0 < self.horizon < math.inf):
+            if not (_is_real(self.horizon)
+                    and 0.0 < _check_real("horizon", self.horizon) < math.inf):
                 raise ConfigError(f"horizon must be positive and finite, got {self.horizon!r}")
             if self.experiment == "alpha-norm" and self.method != "elim":
                 raise ConfigError("alpha-norm tracks the elim scaling; use --method elim")
@@ -575,18 +578,13 @@ def _spec_from_args(args: argparse.Namespace, env_tol: Optional[float]) -> Exper
     steps = values.pop("steps", ())
     if isinstance(steps, str):
         steps = [parse_step_size(tok) for tok in steps.split(",")]
-    horizon = values.pop("horizon", 0.0)
-    if isinstance(horizon, str):
-        horizon = parse_step_size(horizon)
-    for key in ("eccentricity", "tol"):
+    if isinstance(values.get("horizon"), str):
+        values["horizon"] = parse_step_size(values["horizon"])
+    for key in ("eccentricity", "tol", "horizon"):
         if key in values:
-            values[key] = _as_float(values[key], f"config key {key!r}")
-    return ExperimentSpec(
-        args.experiment,
-        step_sizes=tuple(_as_float(h, "config key 'steps'") for h in steps),
-        horizon=_as_float(horizon, "config key 'horizon'"),
-        **values,
-    )
+            values[key] = _check_real(f"config key {key!r}", values[key])
+    steps = tuple(_check_real("config key 'steps'", h) for h in steps)
+    return ExperimentSpec(args.experiment, step_sizes=steps, **values)
 
 
 def main(argv=None) -> int:
@@ -602,12 +600,10 @@ def main(argv=None) -> int:
             _reproduce_paper(Path(args.out_dir), args.tol if args.tol is not None else env_tol)
         else:
             run_experiment(_spec_from_args(args, env_tol))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NonConvergence, ValueError, OSError, MemoryError) as exc:
+        # ConfigError, a ValueError, marks a refused input: exit code 2
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     return 0
 
 

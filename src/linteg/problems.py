@@ -50,8 +50,10 @@ def _is_real(value):
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-def _as_float(value, name):
-    # float(value), refusing by name an integer too large for a float
+def _check_real(name, value):
+    # value as a float, refusing by name a non-real and an integer too large for one
+    if not _is_real(value):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -266,7 +268,7 @@ def _problem_names() -> tuple:
 
 def _named_problem(name: str, eccentricity: float) -> HamiltonianProblem:
     """The record a --problem name gives: a table entry, or oscillator<degree>."""
-    if name in _PROBLEMS:
+    if isinstance(name, str) and name in _PROBLEMS:
         return _PROBLEMS[name].build(eccentricity)
     # no leading zero, and at most four digits, as int() refuses a string of
     # thousands; polynomial_oscillator checks the value

@@ -17,6 +17,7 @@ from linteg.analysis import (
 )
 from linteg.integrators import MethodConfig, integrate
 from linteg.problems import (
+    ConfigError,
     HamiltonianProblem,
     kepler_invariants,
     kepler_problem,
@@ -107,6 +108,17 @@ def test_reference_solution_validation():
         for horizon in (1.0, 2.0 * math.pi):
             for bad in (0.0, -0.1, math.inf, -math.inf, math.nan):
                 with pytest.raises(ValueError, match=f"h_ref must be positive and finite, got {bad}"):
+                    reference_solution(prob, h_ref=bad, horizon=horizon)
+        # a value that is no real number, or too large for a float, is refused
+        # by the real-number rule, naming the argument
+        not_real = ((10**400, "is too large for a float"),
+                    ("x", "must be a real number, got 'x'"),
+                    (None, "must be a real number, got None"))
+        for bad, message in not_real:
+            with pytest.raises(ConfigError, match=f"^horizon {message}$"):
+                reference_solution(prob, h_ref=0.01, horizon=bad)
+            for horizon in (1.0, 2.0 * math.pi):
+                with pytest.raises(ConfigError, match=f"^h_ref {message}$"):
                     reference_solution(prob, h_ref=bad, horizon=horizon)
 
 

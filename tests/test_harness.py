@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -396,9 +397,16 @@ def test_spec_fields_of_the_wrong_type_are_named_before_any_integration(monkeypa
         (dict(step_sizes=(True,)), "step sizes must be positive and finite"),
         (dict(horizon="x"), "horizon must be positive and finite, got 'x'"),
         (dict(out=3), "out must be a file path, got 3"),
+        # a field of the wrong kind, and a number too large for a float
+        (dict(experiment=["drift"]), "unknown experiment ['drift']"),
+        (dict(problem=["kepler"]), "unknown problem ['kepler']"),
+        (dict(step_sizes=0.1), "step sizes must be positive and finite"),
+        (dict(step_sizes=np.array([0.1, 0.2])), "step sizes must be positive and finite"),
+        (dict(step_sizes=(10**400,)), "step size is too large for a float"),
+        (dict(horizon=10**400), "horizon is too large for a float"),
     )
     for fields_, message in cases:
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             harness.run_experiment(replace(good, **fields_))
     assert calls == []
     # a path object is a file path too
