@@ -73,9 +73,12 @@ def reference_solution(
     anything else is integrated with the (12, 6) method at h_ref (order 12),
     adjusted to land exactly on the horizon.
     """
+    checked = []
     for name, value in (("horizon", horizon), ("h_ref", h_ref)):
-        if not 0.0 < _check_real(name, value) < math.inf:
+        checked.append(_check_real(name, value))
+        if not 0.0 < checked[-1] < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    horizon, h_ref = checked
     n = _reference_steps(problem, h_ref, horizon)
     if n == 0:
         return problem.initial_state.copy()
@@ -129,6 +132,6 @@ def cost_ratio(r1: int, k1: int, r2: int, k2: int, nu: int) -> float:
     """Per-step work ratio (k1 + (nu+1) r1) / (k2 + nu r2) of the uncorrected
     formulation over the corrected one, counting vector-field and gradient
     evaluations per sweep."""
-    for name, value in ("r1", r1), ("k1", k1), ("r2", r2), ("k2", k2), ("nu", nu):
-        _check_count(name, value, 0 if name == "nu" else 1)
+    r1, k1, r2, k2, nu = (_check_count(name, value, 0 if name == "nu" else 1) for name, value in
+                          (("r1", r1), ("k1", k1), ("r2", r2), ("k2", k2), ("nu", nu)))
     return (k1 + (nu + 1) * r1) / (k2 + nu * r2)

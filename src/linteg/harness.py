@@ -105,41 +105,40 @@ class ExperimentSpec:
         if self.invariants != "none" and self.invariants not in labels:
             owners = " or ".join(n for n, f in _PROBLEMS.items() if self.invariants in f.invariants)
             raise ConfigError(f"invariant selections are defined for the {owners} problem")
-        counts = []  # (h, n_steps) per step size: the horizon is a whole multiple of each
+        counts, steps, horizon = [], [], self.horizon  # (h, n_steps) per checked float step size
         if self.experiment != "tableau":
-            if not (isinstance(self.step_sizes, (tuple, list)) and all(
-                    _is_real(h) and 0.0 < _check_real("step size", h) < math.inf
-                    for h in self.step_sizes)):
-                raise ConfigError("step sizes must be positive and finite")
-            if not self.step_sizes:
+            for h in self.step_sizes if isinstance(self.step_sizes, (tuple, list)) else [None]:
+                if not (_is_real(h) and 0.0 < (h := _check_real("step size", h)) < math.inf):
+                    raise ConfigError("step sizes must be positive and finite")
+                steps.append(h)
+            if not steps:
                 raise ConfigError("need at least one step size (--steps)")
-            if self.experiment == "drift" and len(self.step_sizes) != 1:
+            if self.experiment == "drift" and len(steps) != 1:
                 raise ConfigError("drift runs use exactly one step size")
-            if not (_is_real(self.horizon)
-                    and 0.0 < _check_real("horizon", self.horizon) < math.inf):
+            if not (_is_real(horizon)
+                    and 0.0 < (horizon := _check_real("horizon", horizon)) < math.inf):
                 raise ConfigError(f"horizon must be positive and finite, got {self.horizon!r}")
             if self.experiment == "alpha-norm" and self.method != "elim":
                 raise ConfigError("alpha-norm tracks the elim scaling; use --method elim")
-            for h in self.step_sizes:
-                ratio = self.horizon / h
+            for h in steps:
+                ratio = horizon / h
                 if not math.isfinite(ratio):
-                    raise ConfigError(f"horizon {self.horizon!r} / step size {h!r} is not finite")
-                n = _whole_multiple(self.horizon, h)
+                    raise ConfigError(f"horizon {horizon!r} / step size {h!r} is not finite")
+                n = _whole_multiple(horizon, h)
                 if not n:
                     raise ConfigError(
-                        f"horizon {self.horizon!r} is not an integer multiple of step size {h!r}"
+                        f"horizon {horizon!r} is not an integer multiple of step size {h!r}"
                     )
                 if n > _max_steps(problem.dim):
                     raise ConfigError(
-                        f"horizon {self.horizon!r} / step size {h!r} is {ratio:.3g} steps, "
+                        f"horizon {horizon!r} / step size {h!r} is {ratio:.3g} steps, "
                         f"more than the {_max_steps(problem.dim)} whose states an array can hold"
                     )
                 counts.append((h, n))
         # fail on impossible method parameters before any stepping (gauss has k = s)
         config = MethodConfig(self.s, self.s if self.k is None else self.k, self.r, self.tol)
-        plan = _Plan(problem, labels.get(self.invariants), config, counts, self.horizon)
-        config.validate(nu=plan.nu)
-        return plan
+        plan = _Plan(problem, labels.get(self.invariants), config, counts, horizon)
+        return replace(plan, config=config.validate(nu=plan.nu))
 
 
 @dataclass(frozen=True)

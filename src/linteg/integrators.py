@@ -15,7 +15,7 @@ gamma_0 in both cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -85,19 +85,21 @@ class MethodConfig:
     def resolved_r(self) -> int:
         return self.k if self.r is None else self.r
 
-    def validate(self, nu: int = 0) -> None:
-        for name, value, low in (("s", self.s, 1), ("k", self.k, None),
-                                 ("r", self.resolved_r(), None), ("nu", nu, 0)):
-            _check_count(name, value, low)
-        if self.k < self.s:
-            raise ConfigError(f"need k >= s, got k={self.k}, s={self.s}")
-        if self.resolved_r() < self.s:
-            raise ConfigError(f"need r >= s, got r={self.resolved_r()}, s={self.s}")
-        if nu > 0 and self.s <= nu:
-            raise ConfigError(f"conserving nu={nu} invariants needs s > nu, got s={self.s}")
-        tol = self.fp_tolerance
-        if not 0.0 < _check_real("fp_tolerance", tol) < math.inf:
+    def validate(self, nu: int = 0) -> MethodConfig:
+        """Check the config for a run imposing nu invariants; return the config the
+        run uses: its counts Python ints, its tolerance a float, an r of None kept."""
+        s, k, r, nu = (_check_count(name, value, low) for name, value, low in (
+            ("s", self.s, 1), ("k", self.k, None), ("r", self.resolved_r(), None), ("nu", nu, 0)))
+        if k < s:
+            raise ConfigError(f"need k >= s, got k={k}, s={s}")
+        if r < s:
+            raise ConfigError(f"need r >= s, got r={r}, s={s}")
+        if nu > 0 and s <= nu:
+            raise ConfigError(f"conserving nu={nu} invariants needs s > nu, got s={s}")
+        tol = _check_real("fp_tolerance", self.fp_tolerance)
+        if not 0.0 < tol < math.inf:
             raise ConfigError(f"fp_tolerance must be a positive finite number, got {tol!r}")
+        return MethodConfig(s, k, None if self.r is None else r, tol)
 
 
 @dataclass
@@ -449,14 +451,16 @@ def _stepper(problem, invariants, config, h):
 
 def _one_step(problem, invariants, config, y0, h):
     """One validated step through a fresh stepper; returns (y1, its record)."""
-    _, y0, h = _validate(problem, invariants, config, y0, h)
+    _, invariants, config, y0, h = _validate(problem, invariants, config, y0, h)
     return _stepper(problem, invariants, config, h)(y0)
 
 
 def _validate(problem, invariants, config, y0, h):
-    """Check a step's inputs once; return nu, the state as a float array and h as a float."""
+    """Check a step's inputs once; return nu, invariants, config, y0 and h as the run uses them."""
     nu = invariants.nu if invariants is not None else 0
-    config.validate(nu=nu)
+    config = config.validate(nu=nu)
+    nu = int(nu)  # a count, as validate checked; the stepper reads it as a Python int
+    invariants = replace(invariants, nu=nu) if nu else None
     h = _check_real("step size", h)
     if h == 0.0:
         raise ConfigError("step size must be nonzero")
@@ -469,7 +473,7 @@ def _validate(problem, invariants, config, y0, h):
         )
     if not np.all(np.isfinite(y0)):
         raise ConfigError("state must be finite")
-    return nu, y0, h
+    return nu, invariants, config, y0, h
 
 
 def _deviations(problem, invariants, states):
@@ -519,8 +523,8 @@ def integrate(
     n_steps: int,
 ) -> Trajectory:
     """March n_steps steps of size h from the problem's initial state."""
-    nu, y, h = _validate(problem, invariants, config, problem.initial_state, h)
-    _check_count("n_steps", n_steps, 1)
+    nu, invariants, config, y, h = _validate(problem, invariants, config, problem.initial_state, h)
+    n_steps = _check_count("n_steps", n_steps, 1)
     if n_steps > _max_steps(problem.dim):
         raise ConfigError(
             f"n_steps={n_steps} is more than the {_max_steps(problem.dim)} steps "
@@ -547,7 +551,7 @@ def integrate(
         if nu:
             alphas[i] = record.alpha
 
-    h_error, invariant_error = _deviations(problem, invariants if nu else None, states)
+    h_error, invariant_error = _deviations(problem, invariants, states)
     return Trajectory(
         h=h,
         times=h * np.arange(n_steps + 1),

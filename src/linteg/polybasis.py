@@ -61,7 +61,7 @@ def _standard_legendre_pair(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def gauss_rule(n: int) -> QuadratureRule:
     """Return the n-point Gauss-Legendre rule on [0, 1] (exact to degree 2n-1)."""
-    _check_count("n", n, 1)
+    n = _check_count("n", n, 1)
     i = np.arange(1, n + 1)
     t = np.cos(math.pi * (4 * i - 1) / (4 * n + 2))
     for _ in range(_NEWTON_MAX_ITERS):
@@ -85,7 +85,7 @@ def gauss_rule(n: int) -> QuadratureRule:
 
 def legendre_table(n_max: int, x) -> np.ndarray:
     """Evaluate P_0 .. P_n_max at the points x; returns shape (n_max + 1,) + x.shape."""
-    _check_count("n_max", n_max, 0)
+    n_max = _check_count("n_max", n_max, 0)
     t = 2.0 * np.asarray(x, dtype=float) - 1.0
     scale = np.sqrt(2.0 * np.arange(n_max + 1) + 1.0)
     return _legendre_rows(n_max, t) * scale.reshape((n_max + 1,) + (1,) * t.ndim)
@@ -93,7 +93,7 @@ def legendre_table(n_max: int, x) -> np.ndarray:
 
 def xi_coefficient(i: int) -> float:
     """Recurrence constant xi_i = 1 / (2 sqrt(4 i^2 - 1)) linking P_{i-1} and P_i integrals."""
-    _check_count("i", i, 1)
+    i = _check_count("i", i, 1)
     return 1.0 / (2.0 * math.sqrt(4.0 * i * i - 1.0))
 
 
@@ -103,7 +103,7 @@ def integral_table(n_max: int, c) -> np.ndarray:
     Uses int_0^c P_j = xi_{j+1} P_{j+1}(c) - xi_j P_{j-1}(c) for j >= 1 and
     int_0^c P_0 = c; at c = 0 all values vanish identically.
     """
-    _check_count("n_max", n_max, 0)
+    n_max = _check_count("n_max", n_max, 0)
     c = np.asarray(c, dtype=float)
     table = legendre_table(n_max + 1, c)
     out = np.empty((n_max + 1,) + c.shape, dtype=float)

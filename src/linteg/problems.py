@@ -38,11 +38,12 @@ class ConfigError(ValueError):
 
 
 def _check_count(name, value, low=None):
-    # bool is an int subclass; a float, even a whole one, is no count
+    """value as a Python int; refuses by name a non-integer (a bool, a whole float) or one below low"""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ConfigError(f"need {name} >= {low}, got {name}={value}")
+    return int(value)
 
 
 def _is_real(value):
@@ -207,11 +208,10 @@ def kepler_invariants(which: str) -> InvariantSet:
 
 def polynomial_oscillator(degree: int) -> HamiltonianProblem:
     """One-degree-of-freedom oscillator H = p^2 / 2 + q^degree / degree, started at (1, 0)."""
-    _check_count("degree", degree)
-    if degree not in _DEGREES:
+    d = _check_count("degree", degree)
+    if d not in _DEGREES:
         degrees = ", ".join(map(str, _DEGREES))
         raise ConfigError(f"degree must be one of {degrees}, got {degree!r}")
-    d = int(degree)
 
     # in float64 whatever y's dtype: q**d of an integer q would wrap
     def ham(y: np.ndarray) -> np.ndarray:

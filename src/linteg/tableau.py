@@ -55,10 +55,10 @@ def build_hbvm_tableau(k: int, s: int) -> TableauMatrices:
     The record is cached per (k, s) and its arrays are read-only, so every
     caller (the steppers included) shares one copy of the operators.  The
     cache is keyed by type, so a count that is no integer (3.0, True) never
-    finds the entry of an equal int and raises ConfigError.
+    finds the entry of an equal int and raises ConfigError.  The package's
+    callers pass the Python ints their checks return, so it holds one per (k, s).
     """
-    _check_count("k", k)
-    _check_count("s", s, 1)
+    k, s = _check_count("k", k), _check_count("s", s, 1)
     if k < s:
         raise ConfigError(f"need k >= s, got k={k}, s={s}")
     rule = gauss_rule(k)
@@ -75,7 +75,7 @@ def build_hbvm_tableau(k: int, s: int) -> TableauMatrices:
 
 def xhat_matrix(s: int) -> np.ndarray:
     """(s+1) x s step matrix X with int_0^c P_j = sum_i X[i, j] P_i(c)."""
-    _check_count("s", s, 1)
+    s = _check_count("s", s, 1)
     X = np.zeros((s + 1, s))
     X[0, 0] = 0.5
     for j in range(1, s):

@@ -122,6 +122,15 @@ def test_reference_solution_validation():
                     reference_solution(prob, h_ref=bad, horizon=horizon)
 
 
+def test_reference_solution_integrates_with_its_checked_floats():
+    # float32(0.01) and float32(1.0) are used as the floats they convert to,
+    # so the run lands on t = 1 rather than 100 float32 steps short of it
+    prob = kepler_problem(0.6)
+    got = reference_solution(prob, np.float32(0.01), np.float32(1.0))
+    want = reference_solution(prob, float(np.float32(0.01)), float(np.float32(1.0)))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_drift_slope_on_synthetic_data():
     t = np.linspace(0.0, 100.0, 201)
     assert drift_slope(t, 2.5e-7 * t) == pytest.approx(2.5e-7, rel=1e-10)

@@ -414,6 +414,36 @@ def test_spec_fields_of_the_wrong_type_are_named_before_any_integration(monkeypa
     assert plan.counts == [(0.1, 10)]
 
 
+def test_the_whole_multiple_rule_judges_a_step_as_the_float_it_runs():
+    # float32(0.1) is 0.10000000149...: ten such steps end 1.5e-8 past t = 1,
+    # beyond the rule's 1e-9, however float32 arithmetic rounds 10 x float32(0.1)
+    spec = ExperimentSpec("drift", s=3, k=12, step_sizes=(np.float32(0.1),), horizon=1.0)
+    with pytest.raises(ConfigError, match="^horizon 1.0 is not an integer multiple of step size "
+                                          "0.10000000149011612$"):
+        spec.validate()
+
+
+def test_numpy_numbers_in_a_spec_run_as_their_python_values(tmp_path):
+    # a spec plans with the numbers its checks return, so NumPy scalars give
+    # Python floats and ints and the bytes of the spec holding those values
+    numpy_fields = dict(step_sizes=(np.float32(0.25),), horizon=np.float32(2.0),
+                        tol=np.float32(1e-14), s=np.int64(3), k=np.int64(12))
+    python_fields = dict(step_sizes=(0.25,), horizon=2.0, tol=float(np.float32(1e-14)), s=3, k=12)
+    written = []
+    for name, fields_ in (("numpy", numpy_fields), ("python", python_fields)):
+        spec = ExperimentSpec("drift", method="elim", invariants="L1L2",
+                              out=str(tmp_path / f"{name}.csv"), **fields_)
+        plan = spec.validate()
+        assert plan.counts == [(0.25, 8)] and plan.horizon == 2.0
+        assert [type(v) for v in (*plan.counts[0], plan.horizon)] == [float, int, float]
+        config = plan.config
+        assert config == MethodConfig(3, 12, None, python_fields["tol"])
+        assert [type(v) for v in (config.s, config.k, config.fp_tolerance)] == [int, int, float]
+        harness.run_experiment(spec)
+        written.append(Path(spec.out).read_bytes())
+    assert written[0] == written[1]
+
+
 def _two_cpus(monkeypatch):
     # fork a worker even on a host with one usable CPU
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

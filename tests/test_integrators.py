@@ -844,6 +844,29 @@ def test_config_validation():
             elim_step(prob, bad, MethodConfig(3, 12), prob.initial_state, 0.1)
 
 
+def test_numpy_counts_run_as_the_ints_their_checks_return():
+    # the checked config holds Python numbers, so a NumPy-typed config runs
+    # the int config's steps and finds its tableau in the cache
+    prob = kepler_problem(0.6)
+    build_hbvm_tableau.cache_clear()
+    ints = integrate(prob, None, MethodConfig(3, 12), 0.1, 20)
+    assert build_hbvm_tableau.cache_info().currsize == 1
+    wide = integrate(prob, None, MethodConfig(np.int64(3), np.int64(12)), 0.1, 20)
+    assert wide.states.tobytes() == ints.states.tobytes()
+    assert build_hbvm_tableau.cache_info().currsize == 1
+    # a NumPy nu too: the stepper reads the checked count
+    two = kepler_invariants("angular_momentum_and_lrl")
+    wide_nu = InvariantSet(np.int64(2), two.values, two.gradients)
+    a = integrate(prob, wide_nu, MethodConfig(np.int64(3), np.int64(12)), 0.1, 20)
+    b = integrate(prob, two, MethodConfig(3, 12), 0.1, 20)
+    for name in ("states", "alpha", "iterations", "fallback"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    checked = MethodConfig(np.int64(3), np.int64(12), None, np.float32(1e-14)).validate()
+    assert checked == MethodConfig(3, 12, None, float(np.float32(1e-14))) and checked.r is None
+    assert [type(v) for v in (checked.s, checked.k, checked.fp_tolerance)] == [int, int, float]
+    assert type(MethodConfig(3, 12, np.int64(12)).validate(nu=np.int64(1)).r) is int
+
+
 def test_step_rejects_bad_inputs():
     prob = kepler_problem(0.6)
     inv = kepler_invariants("angular_momentum_only")
