@@ -41,13 +41,17 @@ def estimate_orders(errors) -> np.ndarray:
         raise ValueError("need at least two errors to estimate an order")
     if np.any(errors <= 0.0):
         raise ValueError("errors must be positive")
-    return np.array(list(map(_observed_order, errors[:-1], errors[1:])), dtype=float)
+    orders = [_observed_order(p, c, 2.0, 1.0) for p, c in zip(errors[:-1], errors[1:])]
+    return np.array(orders, dtype=float)
 
 
-def _observed_order(prev, cur) -> Optional[float]:
-    """Every order linteg reports: log2(prev / cur), None where a value is not
-    > 0 or their ratio underflows to 0 (which math.log2 refuses)."""
-    return math.log2(prev / cur) if prev > 0 and cur > 0 and prev / cur > 0 else None
+def _observed_order(prev, cur, h_prev, h) -> Optional[float]:
+    """Every order linteg reports: log2(prev / cur) / log2(h_prev / h) for values
+    at steps h_prev then h; None where a value is not > 0, their ratio underflows
+    to 0 (which math.log2 refuses), or the step ratio is 1 or not positive finite."""
+    ratio = h_prev / h
+    defined = prev > 0 and cur > 0 and prev / cur > 0 and 0 < ratio < math.inf and ratio != 1
+    return math.log2(prev / cur) / math.log2(ratio) if defined else None
 
 
 def _whole_multiple(total: float, unit: float) -> int:

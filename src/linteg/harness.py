@@ -268,13 +268,13 @@ def _run_convergence(plan: _Plan, out: Path) -> None:
                  partial(reference_solution, plan.problem, h_ref, plan.horizon))
     results = _parallel([reference] + _integrations(plan))
     y_ref = next(results)
-    rows, prev = [], None
+    rows, h_prev, prev = [], None, None
     for (h, n), traj in zip(plan.counts, results):
         err = max_norm_error(traj.states[-1], y_ref)
-        order = "" if prev is None else _fmt(_observed_order(prev, err))
+        order = "" if prev is None else _fmt(_observed_order(prev, err, h_prev, h))
         rows.append([_fmt(h), str(n), _fmt(err), order, str(traj.iteration_total)])
         print(f"h={_fmt(h)}  n={n}  error={_fmt(err)}  iterations={traj.iteration_total}")
-        prev = err
+        h_prev, prev = h, err
     _write_csv(out, ["h", "n_steps", "error", "order", "iteration_total"], rows)
 
 
@@ -291,15 +291,17 @@ def _alpha_rows(traj) -> list:
 
 
 def _run_alpha_norm(plan: _Plan, out: Path) -> None:
-    rows, maxima = [], []
+    rows, steps, maxima = [], [], []
     for h, n, traj in _runs(plan):
         amax = float(np.max(np.abs(traj.alpha)))
+        steps.append(h)
         maxima.append(amax)
         for row, alpha in zip(_alpha_rows(traj), traj.alpha):
             rows.append([_fmt(h)] + row + [_fmt(np.max(np.abs(alpha)))])
         print(f"h={_fmt(h)}  n={n}  max|alpha|={_fmt(amax)}")
     if len(maxima) >= 2:
-        print("alpha orders:", " ".join(map(_fmt, map(_observed_order, maxima, maxima[1:]))))
+        orders = map(_observed_order, maxima, maxima[1:], steps, steps[1:])
+        print("alpha orders:", " ".join(map(_fmt, orders)))
     _write_csv(out, ["h", "n", "t"] + _alpha_names(plan.nu) + ["alpha_inf"], rows)
 
 
@@ -408,7 +410,7 @@ def _write_order_table(path, steps, labels, values, value_name, order_name):
     for label in labels:
         header += [f"{value_name}_{label}", f"{order_name}_{label}"]
         column = [values[label, h] for h in steps]
-        orders = [None, *map(_observed_order, column, column[1:])]
+        orders = [None, *map(_observed_order, column, column[1:], steps, steps[1:])]
         for row, value, order in zip(rows, column, orders):
             row += [_fmt(value), _fmt(order)]
     _write_csv(path, header, rows)
@@ -604,7 +606,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

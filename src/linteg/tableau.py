@@ -48,19 +48,21 @@ class TableauMatrices:
     A: np.ndarray
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def build_hbvm_tableau(k: int, s: int) -> TableauMatrices:
     """Tableau of HBVM(k, s); reduces to the s-stage Gauss method when k = s.
 
-    The record is cached per (k, s) and its arrays are read-only, so every
-    caller (the steppers included) shares one copy of the operators.  The
-    cache is keyed by type, so a count that is no integer (3.0, True) never
-    finds the entry of an equal int and raises ConfigError.  The package's
-    callers pass the Python ints their checks return, so it holds one per (k, s).
+    The counts are checked on every call, then the record is cached per
+    (k, s) and its arrays are read-only, so every caller (the steppers
+    included) shares one copy of the operators.
     """
     k, s = _check_count("k", k), _check_count("s", s, 1)
     if k < s:
         raise ConfigError(f"need k >= s, got k={k}, s={s}")
+    return _hbvm_tableau(k, s)
+
+
+@functools.lru_cache(maxsize=None)
+def _hbvm_tableau(k: int, s: int) -> TableauMatrices:
     rule = gauss_rule(k)
     c, b = rule.nodes, rule.weights
     P = legendre_table(s - 1, c).T

@@ -691,18 +691,52 @@ def test_undefined_orders_are_blank_cells(tmp_path, capsys):
     ]
 
 
+def test_orders_divide_by_the_step_ratio(tmp_path, capsys):
+    # an order is log2(prev / cur) / log2(h_prev / h): the order-6 HBVM(12,3)
+    # from pi/30 to pi/90 reads 6, not the 9.46 of log2(prev / cur) alone,
+    # and a halving pair keeps the bits that rule gave
+    out = tmp_path / "conv.csv"
+    assert main([
+        "convergence", "--method", "hbvm", "-s", "3", "-k", "12",
+        "--steps", "pi/30,pi/90,pi/180", "--horizon", "2pi", "--out", str(out),
+    ]) == 0
+    orders = [row["order"] for row in _read_csv(out)]
+    assert orders[0] == "" and 5.5 <= float(orders[1]) <= 6.5
+    assert orders[2] == "5.998763986556885"
+    # the alpha of a nu = 1 run is O(h^2), from 0.3 to 0.1 too
+    assert main([
+        "alpha-norm", "--method", "elim", "--invariants", "L1", "-s", "3", "-k", "12",
+        "--steps", "0.3,0.1", "--horizon", "0.6", "--out", str(tmp_path / "alpha.csv"),
+    ]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("alpha orders: ") and 1.5 <= float(line.split()[-1]) <= 2.5
+    # equal steps give no order
+    assert main([
+        "convergence", "--method", "hbvm", "-s", "3", "-k", "12",
+        "--steps", "0.1,0.1", "--horizon", "0.2", "--out", str(out),
+    ]) == 0
+    assert [row["order"] for row in _read_csv(out)] == ["", ""]
+
+
 def test_order_cells_are_estimate_orders_bit_for_bit(tmp_path, monkeypatch):
     # one order rule: each cell of an order table, written here at full
     # precision, is the estimate_orders value of its pair of values
     monkeypatch.setattr(harness, "_fmt", lambda v: "" if v is None else repr(float(v)))
     values = np.random.default_rng(7).uniform(1e-12, 1.0, 10_001)
-    steps = tuple(range(values.size))  # only the row keys here
     table = tmp_path / "orders.csv"
 
     def order_cells():
-        by_step = {("e", h): v for h, v in zip(steps, values.tolist())}
-        harness._write_order_table(table, steps, ("e",), by_step, "v", "order")
-        return [row["order_e"] for row in _read_csv(table)]
+        # halving steps, so each step ratio is 2.0; 1,000 rows a table, as
+        # 0.5**j underflows past j = 1,074, each table starting on the last
+        # value of the one before
+        cells = [""]
+        for start in range(0, values.size - 1, 999):
+            chunk = values[start:start + 1000].tolist()
+            steps = [0.5**j for j in range(len(chunk))]
+            by_step = {("e", h): v for h, v in zip(steps, chunk)}
+            harness._write_order_table(table, steps, ("e",), by_step, "v", "order")
+            cells += [row["order_e"] for row in _read_csv(table)][1:]
+        return cells
 
     assert order_cells() == [""] + [repr(o) for o in estimate_orders(values).tolist()]
     # a value that is not > 0 blanks the orders on both sides of it, and a

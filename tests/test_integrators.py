@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linteg import integrators
+from linteg import integrators, tableau
 from linteg.integrators import (
     MethodConfig,
     NonConvergence,
@@ -848,12 +848,12 @@ def test_numpy_counts_run_as_the_ints_their_checks_return():
     # the checked config holds Python numbers, so a NumPy-typed config runs
     # the int config's steps and finds its tableau in the cache
     prob = kepler_problem(0.6)
-    build_hbvm_tableau.cache_clear()
+    tableau._hbvm_tableau.cache_clear()
     ints = integrate(prob, None, MethodConfig(3, 12), 0.1, 20)
-    assert build_hbvm_tableau.cache_info().currsize == 1
+    assert tableau._hbvm_tableau.cache_info().currsize == 1
     wide = integrate(prob, None, MethodConfig(np.int64(3), np.int64(12)), 0.1, 20)
     assert wide.states.tobytes() == ints.states.tobytes()
-    assert build_hbvm_tableau.cache_info().currsize == 1
+    assert tableau._hbvm_tableau.cache_info().currsize == 1
     # a NumPy nu too: the stepper reads the checked count
     two = kepler_invariants("angular_momentum_and_lrl")
     wide_nu = InvariantSet(np.int64(2), two.values, two.gradients)
@@ -990,9 +990,9 @@ def test_projection_then_structure_equals_projected_vector_field(problem):
 def test_integrate_looks_up_each_operator_set_once(invariants, r, lookups):
     # the per-run work is done once per integrate call, not once per step
     inv = kepler_invariants(invariants) if invariants else None
-    before = build_hbvm_tableau.cache_info()
+    before = tableau._hbvm_tableau.cache_info()
     integrate(kepler_problem(0.6), inv, MethodConfig(s=3, k=12, r=r), 0.1, 50)
-    after = build_hbvm_tableau.cache_info()
+    after = tableau._hbvm_tableau.cache_info()
     assert (after.hits + after.misses) - (before.hits + before.misses) == lookups
 
 

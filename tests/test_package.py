@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import linteg
-from linteg import analysis, integrators, polybasis, problems, tableau
+from linteg import analysis, harness, integrators, polybasis, problems, tableau
 
 
 def test_package_exports_every_module_list():
@@ -42,3 +42,16 @@ def test_import_leaves_the_cli_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def test_the_package_has_one_cache():
+    # the (k, s) tableau memo is the only cached callable: no module-level
+    # function, nor any method of a class the modules define, keeps a cache
+    cached = {}
+    for module in (analysis, harness, integrators, polybasis, problems, tableau):
+        for obj in vars(module).values():
+            members = vars(obj).values() if isinstance(obj, type) else ()
+            for candidate in (obj, *members):
+                if hasattr(candidate, "cache_info"):
+                    cached[id(candidate)] = candidate
+    assert list(cached.values()) == [tableau._hbvm_tableau]

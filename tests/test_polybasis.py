@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from linteg import polybasis
 from linteg.polybasis import (
     gauss_rule,
     integral_table,
@@ -94,6 +95,13 @@ def test_gauss_rule_validation():
         gauss_rule(-3)
     with pytest.raises(ValueError, match=r"^need n_max >= 0, got n_max=-1$"):
         legendre_table(-1, 0.5)
+
+
+def test_gauss_rule_raises_when_newton_stalls(monkeypatch):
+    # with no Newton step allowed the nodes never meet the tolerance
+    monkeypatch.setattr(polybasis, "_NEWTON_MAX_ITERS", 0)
+    with pytest.raises(RuntimeError, match=r"^Gauss-Legendre Newton iteration stalled for n=3$"):
+        gauss_rule(3)
 
 
 def test_orthonormality():
