@@ -252,9 +252,9 @@ def _stepper(problem, invariants, config, h):
     """Build the sweep loop of a run of steps of size h; returns step(y0).
 
     What does not depend on the state (the operators, w, the noise scale,
-    J^T, the first stage array, every array a sweep writes and the
-    StepWorkspace record) is made here once, so a step runs only its
-    sweeps.  step(y0) returns (y1, record).
+    J^T, every array a sweep writes and the StepWorkspace record) is made
+    here once, so a step runs only its sweeps.  step(y0) returns (y1,
+    record).
 
     At nu <= 2 the scaling system is formed in Python floats (at nu = 2
     all of it, in _scaling_system_nu2).  eta and I eta are rewritten only
@@ -314,8 +314,8 @@ def _stepper(problem, invariants, config, h):
 
     # The stage arrays are column-major: G.T.dot(IetaT).T holds the bits of
     # (I eta) @ G, and every column y[..., i] a problem callable reads is
-    # contiguous.  Every step starts from G = 0, so its first stage array is
-    # y0 plus the same h ((I eta) @ 0), formed here once.
+    # contiguous.  Every step starts from G = 0, where u(c h) = y0: its
+    # first stage array is y0 in every row, bit for bit.
     #
     # Every NumPy call of a sweep enters C directly: products are
     # ndarray.dot, maxima and sums ufunc.reduce.  np.dot's dispatcher and
@@ -326,8 +326,8 @@ def _stepper(problem, invariants, config, h):
     # 12, d = 4, U_next += y0 with y0 of shape (d,) goes through NumPy's
     # general iterator in 1.27 us, against 0.39 us for a stage-shaped y0
     # (and *= h with a float 0.68 against 0.43 us).  So H holds h and Y0
-    # the step's y0 in every row, in U's layout; a copy keeps y0's bits,
-    # where zero_stage + y0 would make a -0.0 of y0 +0.0 when h > 0.
+    # the step's y0 in every row, in U's layout, and a step's first stage
+    # is a copy of Y0.
     #
     # Nor does a sweep allocate an array the stepper can own: every product
     # and ufunc but nu != 2's einsum writes through its out argument into
@@ -339,12 +339,11 @@ def _stepper(problem, invariants, config, h):
     # callables may return views of the stage array they are given, as
     # everything read from them is projected before any stage array is
     # written.
-    zero_stage = np.zeros((d, s)).dot(IetaT).T * h
-    H = np.full_like(zero_stage, h)
-    Y0 = np.empty_like(zero_stage)
+    H = np.full((len(I), d), h, order="F")
+    Y0 = np.empty_like(H)
     # each stage array, its transpose (the out of the stage product) and its
     # rows [:k] and [-r:]: views made once, where one per sweep costs 0.1 us
-    stages = [(U, U.T, U[:k], U[-r:]) for U in map(np.empty_like, (zero_stage, zero_stage))]
+    stages = [(U, U.T, U[:k], U[-r:]) for U in map(np.empty_like, (H, H))]
     GT = G.T
     record = StepWorkspace(G, eta, np.zeros(nu), np.zeros((nu, nu)), np.zeros(nu), 0, False)
     Gamma_flat = record.Gamma.reshape(nu * nu)
@@ -375,8 +374,8 @@ def _stepper(problem, invariants, config, h):
         # every sweep gives.
         (U, UT, Uk, Ur), (V, VT, Vk, Vr) = stages
         Y0[...] = y0
-        np.add(zero_stage, Y0, U)
-        # max|U|: every row of U is y0 + 0.  Python's max is _amax on a
+        U[...] = Y0
+        # max|U|: every row of U is y0.  Python's max is _amax on a
         # finite y0; with a NaN in y0 every residual is NaN, which takes
         # the exact test whatever the bound
         bound = max(map(abs, y0.tolist()))
@@ -478,11 +477,17 @@ def _validate(problem, invariants, config, y0, h):
 
 def _deviations(problem, invariants, states):
     """H and the invariants (an (n+1, 0) array with none) along states, each
-    less its value at states[0]."""
+    less its value at states[0]; a callable's values of another shape raise."""
+    n = states.shape[0]
     h_vals = problem.hamiltonian(states)
     if invariants is None:
-        return h_vals - h_vals[0], np.zeros((states.shape[0], 0))
-    inv_vals = invariants.values(states)
+        nu, inv_vals = 0, np.zeros((n, 0))
+    else:
+        nu, inv_vals = invariants.nu, invariants.values(states)
+    for name, vals, shape in (("hamiltonian", h_vals, (n,)),
+                              ("InvariantSet.values", inv_vals, (n, nu))):
+        if np.shape(vals) != shape:
+            raise ConfigError(f"{name} gave shape {np.shape(vals)} on {n} states, expected {shape}")
     return h_vals - h_vals[0], inv_vals - inv_vals[0]
 
 

@@ -7,7 +7,7 @@ import re
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -952,6 +952,42 @@ def test_step_rejects_bad_inputs():
         ConfigError, match=r"^conserving nu=2 invariants needs s > nu, got s=2$"
     ):
         elim_step(prob, both, MethodConfig(s=2, k=4), prob.initial_state, 0.1)
+
+
+def test_values_of_another_shape_fail_by_name():
+    # integrate and drift_report take H and the invariants along the states
+    # from the callables; a series of the wrong shape is named, not broadcast
+    # into invariant_error or left to fail on an index
+    prob = kepler_problem(0.6)
+    wide = InvariantSet(
+        1,
+        kepler_invariants("angular_momentum_and_lrl").values,
+        kepler_invariants("angular_momentum_only").gradients,
+    )
+    message = "InvariantSet.values gave shape (3, 2) on 3 states, expected (3, 1)"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        integrate(prob, wide, MethodConfig(3, 12), 0.1, 2)
+    flat = HamiltonianProblem("flat", 2, lambda y: 0.0, prob.grad_h, prob.initial_state)
+    message = "hamiltonian gave shape () on 3 states, expected (3,)"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        integrate(flat, None, MethodConfig(3, 12), 0.1, 2)
+
+
+@pytest.mark.parametrize("h", [0.1, -0.1], ids=["forward", "backward"])
+def test_a_steps_first_stage_is_y0_bit_for_bit(h):
+    # every step starts from zero coefficients, where u(c h) = y0: the first
+    # stage array the gradient sees is y0 in every row, a -0.0 included
+    prob = kepler_problem(0.6)
+    seen = []
+
+    def grad_h(y):
+        seen.append(np.array(y))
+        return prob.grad_h(y)
+
+    y0 = np.array([0.4, -0.0, -0.0, 2.0])
+    hbvm_step(replace(prob, grad_h=grad_h), MethodConfig(3, 12), y0, h)
+    assert seen[0].shape == (12, 4)
+    assert [row.tobytes() for row in seen[0]] == [y0.tobytes()] * 12
 
 
 def test_resolved_r_defaults_to_k():
