@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .integrators import MethodConfig, Trajectory, _deviations, integrate
-from .problems import HamiltonianProblem, InvariantSet, _check_count, _check_real, _facts
+from .problems import ConfigError, HamiltonianProblem, InvariantSet, _check_count, _check_real, _facts
 
 __all__ = [
     "DriftReport",
@@ -81,8 +81,10 @@ def reference_solution(
     for name, value in (("horizon", horizon), ("h_ref", h_ref)):
         checked.append(_check_real(name, value))
         if not 0.0 < checked[-1] < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
     horizon, h_ref = checked
+    if not horizon / h_ref < math.inf:
+        raise ConfigError(f"horizon {horizon!r} / h_ref {h_ref!r} is not finite")
     n = _reference_steps(problem, h_ref, horizon)
     if n == 0:
         return problem.initial_state.copy()

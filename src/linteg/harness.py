@@ -28,7 +28,7 @@ from .analysis import _observed_order, _reference_steps, _whole_multiple
 from .analysis import drift_report, max_norm_error, reference_solution
 from .integrators import MethodConfig, NonConvergence, _max_steps, integrate
 from .problems import ConfigError, HamiltonianProblem, InvariantSet, _check_real, _facts, _is_real
-from .problems import _PROBLEMS, _invariant_labels, _named_problem, _problem_names
+from .problems import _PROBLEMS, _invariant_labels, _named_problem
 from .tableau import build_hbvm_tableau, tableau_to_json
 
 __all__ = ["ExperimentSpec", "main", "parse_step_size", "run_experiment"]
@@ -43,6 +43,8 @@ _PI_PATTERN = re.compile(
 
 def parse_step_size(token: str) -> float:
     """Parse a step size such as '0.1', 'pi/30' or '20pi'."""
+    if not isinstance(token, str):
+        raise ConfigError(f"step size or horizon must be a string, got {token!r}")
     match = _PI_PATTERN.match(token)
     if match:
         value = math.pi
@@ -502,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     # read now, as the problems table may have gained entries and labels
-    live = {"problem": dict(help=" or ".join(_problem_names())),
+    live = {"problem": dict(help=" or ".join(_PROBLEMS)),
             "invariants": dict(choices=_invariant_labels())}
     helps = {name: f"run the {name} experiment" for name in _RUNNERS}
     helps["tableau"] = "export a Butcher tableau as JSON"

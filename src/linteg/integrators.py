@@ -379,13 +379,21 @@ def _stepper(problem, invariants, config, h):
         # finite y0; with a NaN in y0 every residual is NaN, which takes
         # the exact test whatever the bound
         bound = max(map(abs, y0.tolist()))
+        # (sweep, stage array bytes) of the last sweep whose residual was not finite
+        kept = None
 
         for sweeps in range(1, _MAX_SWEEPS + 1):
             # gamma_j = J sum_i b_i P_j(c_i) grad H(u(c_i h)): J, a signed
             # permutation, acts on the s projected rows, not the k gradients
-            PTB_k.dot(grad_h(Uk), G_raw).dot(JT, G)
+            grad = grad_h(Uk)
+            if sweeps == 1:
+                _check_gradient("grad_h", grad, (k, d))
+            PTB_k.dot(grad, G_raw).dot(JT, G)
             if nu:
-                PTB_r.dot(gradients(Ur).reshape(r, d * nu), Phi)
+                grad = gradients(Ur)
+                if sweeps == 1:
+                    _check_gradient("InvariantSet.gradients", grad, (r, d, nu))
+                PTB_r.dot(grad.reshape(r, d * nu), Phi)
                 # a NaN column makes its rhs entry NaN and the solve fall
                 # back, so Python's max, which can pass over a NaN, decides
                 # nothing np.max would not
@@ -429,6 +437,20 @@ def _stepper(problem, invariants, config, h):
                 bound = float(_amax(np.absolute(U, V), None))
                 if residual <= tol * (1.0 + bound) and bound < math.inf:
                     break
+                if not residual < math.inf:
+                    # a repeated stage array has a residual of 0 or NaN, so
+                    # every repeat that did not converge passes here.  With
+                    # deterministic callables it repeats alpha too, and the
+                    # step can never leave it
+                    stage = U.tobytes()
+                    if kept == (sweeps - 1, stage):
+                        raise NonConvergence(
+                            f"no fixed point: sweep {sweeps} repeated the non-finite stages "
+                            f"of sweep {sweeps - 1} (residual {residual:.3e}, h={h!r})",
+                            residual=residual,
+                            iterations=sweeps,
+                        )
+                    kept = sweeps, stage
         else:
             raise NonConvergence(
                 f"no fixed point after {_MAX_SWEEPS} sweeps "
@@ -448,14 +470,24 @@ def _stepper(problem, invariants, config, h):
     return step
 
 
+def _check_gradient(name, grad, shape):
+    # the shape of a gradient array a sweep got, read without a NumPy call
+    # for an ndarray; a mismatch raises by name, as _deviations does
+    got = grad.shape if isinstance(grad, np.ndarray) else np.shape(grad)
+    if got != shape:
+        raise ConfigError(f"{name} gave shape {got} on {shape[0]} stages, expected {shape}")
+
+
 def _one_step(problem, invariants, config, y0, h):
     """One validated step through a fresh stepper; returns (y1, its record)."""
-    _, invariants, config, y0, h = _validate(problem, invariants, config, y0, h)
+    problem, _, invariants, config, y0, h = _validate(problem, invariants, config, y0, h)
     return _stepper(problem, invariants, config, h)(y0)
 
 
 def _validate(problem, invariants, config, y0, h):
-    """Check a step's inputs once; return nu, invariants, config, y0 and h as the run uses them."""
+    """Check a step's inputs once; return the problem, nu, invariants, config, y0 and h
+    as the run uses them."""
+    problem = replace(problem, m=_check_count("m", problem.m, 1))
     nu = invariants.nu if invariants is not None else 0
     config = config.validate(nu=nu)
     nu = int(nu)  # a count, as validate checked; the stepper reads it as a Python int
@@ -472,7 +504,7 @@ def _validate(problem, invariants, config, y0, h):
         )
     if not np.all(np.isfinite(y0)):
         raise ConfigError("state must be finite")
-    return nu, invariants, config, y0, h
+    return problem, nu, invariants, config, y0, h
 
 
 def _deviations(problem, invariants, states):
@@ -528,7 +560,8 @@ def integrate(
     n_steps: int,
 ) -> Trajectory:
     """March n_steps steps of size h from the problem's initial state."""
-    nu, invariants, config, y, h = _validate(problem, invariants, config, problem.initial_state, h)
+    problem, nu, invariants, config, y, h = _validate(
+        problem, invariants, config, problem.initial_state, h)
     n_steps = _check_count("n_steps", n_steps, 1)
     if n_steps > _max_steps(problem.dim):
         raise ConfigError(

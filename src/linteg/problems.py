@@ -15,7 +15,6 @@ of a gradient array is part of the last bits of a step.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
@@ -37,12 +36,19 @@ class ConfigError(ValueError):
     """Raised for invalid problem or method parameters before any stepping happens."""
 
 
+# the largest array dimension NumPy takes
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
+
 def _check_count(name, value, low=None):
-    """value as a Python int; refuses by name a non-integer (a bool, a whole float) or one below low"""
+    """value as a Python int; refuses by name a non-integer (a bool, a whole float),
+    one below low and one above the largest array dimension"""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ConfigError(f"need {name} >= {low}, got {name}={value}")
+    if value > _MAX_COUNT:
+        raise ConfigError(f"{name} is too large for an array dimension")
     return int(value)
 
 
@@ -62,7 +68,10 @@ def _check_real(name, value):
 
 
 def apply_structure(grad: np.ndarray, m: int) -> np.ndarray:
-    """Apply J = [[0, I_m], [-I_m, 0]] to (batches of) gradients."""
+    """Apply J = [[0, I_m], [-I_m, 0]] to (batches of) gradients of length 2m."""
+    m = _check_count("m", m, 1)
+    if np.shape(grad)[-1:] != (2 * m,):
+        raise ConfigError(f"gradients of shape {np.shape(grad)} do not have length 2m = {2 * m}")
     out = np.empty_like(grad)
     out[..., :m] = grad[..., m:]
     np.negative(grad[..., :m], out=out[..., m:])
@@ -239,9 +248,9 @@ def polynomial_oscillator(degree: int) -> HamiltonianProblem:
 # --problem value): `build` makes the record from --eccentricity, `invariants`
 # holds its invariant sets by --invariants label, the drift CSV reports the set
 # labelled `monitored` under the names `monitors`, and the exact flow is back at
-# the initial state after each `period`.  A new problem is one entry; other
-# names, oscillator<degree> for each of `_DEGREES`, have none.
+# the initial state after each `period`.  A new problem is one entry.
 _Facts = namedtuple("_Facts", "build invariants monitored monitors period", defaults=(None, (), None))
+_DEGREES = (2, 4, 6, 8)
 _PROBLEMS = {
     "kepler": _Facts(
         kepler_problem,
@@ -249,8 +258,9 @@ _PROBLEMS = {
          "L1L2": kepler_invariants("angular_momentum_and_lrl")},
         monitored="L1L2", monitors=("L1", "L2"), period=2.0 * np.pi,
     ),
+    # the oscillators ignore the eccentricity
+    **{f"oscillator{d}": _Facts(lambda e, d=d: polynomial_oscillator(d), {}) for d in _DEGREES},
 }
-_DEGREES = (2, 4, 6, 8)
 
 
 def _facts(name: str) -> _Facts:
@@ -261,17 +271,8 @@ def _invariant_labels() -> tuple:
     return ("none", *dict.fromkeys(label for f in _PROBLEMS.values() for label in f.invariants))
 
 
-def _problem_names() -> tuple:
-    """The --problem values: each table entry, then the oscillator family."""
-    return (*_PROBLEMS, "oscillator{" + ",".join(map(str, _DEGREES)) + "}")
-
-
 def _named_problem(name: str, eccentricity: float) -> HamiltonianProblem:
-    """The record a --problem name gives: a table entry, or oscillator<degree>."""
-    if isinstance(name, str) and name in _PROBLEMS:
-        return _PROBLEMS[name].build(eccentricity)
-    # no leading zero, and at most four digits, as int() refuses a string of
-    # thousands; polynomial_oscillator checks the value
-    if not (isinstance(name, str) and re.fullmatch(r"oscillator[1-9][0-9]{0,3}", name)):
+    """The record a --problem name gives, built from the checked eccentricity."""
+    if not (isinstance(name, str) and name in _PROBLEMS):
         raise ConfigError(f"unknown problem {name!r}")
-    return polynomial_oscillator(int(name.removeprefix("oscillator")))
+    return _PROBLEMS[name].build(_check_real("eccentricity", eccentricity))

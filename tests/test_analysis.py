@@ -54,6 +54,20 @@ def test_max_norm_error():
             max_norm_error(y, reference)
 
 
+def test_reference_solution_range_failures_are_config_errors():
+    # as its type checks are: an h_ref or horizon that is not positive and
+    # finite, or whose ratio overflows
+    prob = kepler_problem(0.6)
+    for h_ref, horizon, message in (
+        (0.0, 1.0, "h_ref must be positive and finite, got 0.0"),
+        (0.1, -1.0, "horizon must be positive and finite, got -1.0"),
+        (0.1, math.inf, "horizon must be positive and finite, got inf"),
+        (5e-324, 1.0, "horizon 1.0 / h_ref 5e-324 is not finite"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            reference_solution(prob, h_ref, horizon)
+
+
 def test_reference_solution_whole_periods_is_initial_state():
     prob = kepler_problem(0.6)
     ref = reference_solution(prob, h_ref=0.01, horizon=4.0 * math.pi)

@@ -1,0 +1,164 @@
+"""Seeded fuzz of the public entry points' scalar arguments and of every
+ExperimentSpec field.
+
+Each call returns or raises ConfigError; a valid input that does not converge
+may raise NonConvergence instead.  Array-valued data arguments (a state y0,
+legendre_table's x, integral_table's c, the errors and times of the analysis
+helpers) are not covered: README says so.  NumPy's floating-point warnings
+are silenced, as a step size of 1e308 overflows by design.
+"""
+
+import math
+import random
+from dataclasses import fields, replace
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from linteg import (
+    ConfigError,
+    MethodConfig,
+    NonConvergence,
+    apply_structure,
+    build_hbvm_tableau,
+    cost_ratio,
+    elim_step,
+    gauss_rule,
+    hbvm_step,
+    integral_table,
+    integrate,
+    kepler_invariants,
+    kepler_problem,
+    legendre_table,
+    polynomial_oscillator,
+    reference_solution,
+    xhat_matrix,
+    xi_coefficient,
+)
+from linteg.harness import ExperimentSpec, parse_step_size, run_experiment
+
+# ints, bools, non-finite and extreme floats, integers past any float or
+# array dimension, NumPy scalars from int8 and float16 to longdouble, 0-d and
+# 1-element arrays, strings (some of them valid names), None, lists, tuples,
+# complex numbers, Fraction, Decimal and an arbitrary object
+VALUES = [
+    0, 1, 2, 3, 4, 6, 12, -1, 2**63, True, False,
+    0.0, -0.0, 0.1, 0.2, 0.5, 0.6, -0.5, 1.0, 2.0, math.nan, math.inf, -math.inf, 1e308, 5e-324,
+    10**400, -10**400,
+    np.int8(2), np.int64(4), np.uint8(3), np.bool_(True), np.float16(0.5), np.float32(0.1),
+    np.float64(0.3), np.longdouble(0.2), np.longdouble("1e400"),
+    np.array(3), np.array(0.5), np.array([0.5]),
+    "a", "0.1", "pi/8", "", "kepler", "oscillator4", "drift", "hbvm", "elim", "L1", "none",
+    "angular_momentum_only", None, [1], [0.1], (2,), (0.1,), 1 + 0j, 0.5j, Fraction(1, 2),
+    Decimal("0.5"), object(),
+]
+
+KEPLER = kepler_problem(0.6)
+L1 = kepler_invariants("angular_momentum_only")
+Y0 = KEPLER.initial_state
+
+
+def _cost_ratio_slot(i):
+    def call(v):
+        args = [12, 12, 12, 12, 1]
+        args[i] = v
+        return cost_ratio(*args)
+
+    return call
+
+
+# each public entry point's scalar arguments, one at a time, the others valid
+SLOTS = {
+    "gauss_rule.n": gauss_rule,
+    "legendre_table.n_max": lambda v: legendre_table(v, [0.5]),
+    "integral_table.n_max": lambda v: integral_table(v, [0.5]),
+    "xi_coefficient.i": xi_coefficient,
+    "build_hbvm_tableau.k": lambda v: build_hbvm_tableau(v, 2),
+    "build_hbvm_tableau.s": lambda v: build_hbvm_tableau(4, v),
+    "xhat_matrix.s": xhat_matrix,
+    "kepler_problem.eccentricity": kepler_problem,
+    "kepler_invariants.which": kepler_invariants,
+    "polynomial_oscillator.degree": polynomial_oscillator,
+    "apply_structure.m": lambda v: apply_structure(np.zeros(4), v),
+    "HamiltonianProblem.m": lambda v: hbvm_step(replace(KEPLER, m=v), MethodConfig(2, 4), Y0, 0.1),
+    "InvariantSet.nu": lambda v: elim_step(KEPLER, replace(L1, nu=v), MethodConfig(2, 4), Y0, 0.1),
+    "MethodConfig.s": lambda v: hbvm_step(KEPLER, MethodConfig(v, 4), Y0, 0.1),
+    "MethodConfig.k": lambda v: hbvm_step(KEPLER, MethodConfig(2, v), Y0, 0.1),
+    "MethodConfig.r": lambda v: elim_step(KEPLER, L1, MethodConfig(2, 4, v), Y0, 0.1),
+    "MethodConfig.fp_tolerance": lambda v: hbvm_step(KEPLER, MethodConfig(2, 4, None, v), Y0, 0.1),
+    "hbvm_step.h": lambda v: hbvm_step(KEPLER, MethodConfig(2, 4), Y0, v),
+    "elim_step.h": lambda v: elim_step(KEPLER, L1, MethodConfig(2, 4), Y0, v),
+    "integrate.h": lambda v: integrate(KEPLER, None, MethodConfig(2, 4), v, 2),
+    "integrate.n_steps": lambda v: integrate(KEPLER, L1, MethodConfig(2, 4), 0.1, v),
+    "reference_solution.h_ref": lambda v: reference_solution(KEPLER, v, 0.2),
+    "reference_solution.horizon": lambda v: reference_solution(KEPLER, 0.1, v),
+    "parse_step_size.token": parse_step_size,
+    **{f"cost_ratio.{name}": _cost_ratio_slot(i)
+       for i, name in enumerate(("r1", "k1", "r2", "k2", "nu"))},
+}
+
+# two valid specs of one short run each: an HBVM drift and an ELIM iterations table
+BASES = {
+    "hbvm": ExperimentSpec("drift", method="hbvm", s=2, k=4, step_sizes=(0.1,), horizon=0.2,
+                           out="out.csv"),
+    "elim": ExperimentSpec("iterations", method="elim", s=2, k=4, r=4, invariants="L1",
+                           step_sizes=(0.1,), horizon=0.2, out="out.csv"),
+}
+SPEC_FIELDS = [f.name for f in fields(ExperimentSpec)]
+
+
+_ALLOWED = ("returned", "ConfigError", "NonConvergence")
+
+
+def _outcomes(call, values):
+    """Per value, what its call did: one of _ALLOWED, or (value, the type
+    and message of any other exception)."""
+    found = []
+    for v in values:
+        try:
+            with np.errstate(all="ignore"):
+                call(v)
+            found.append("returned")
+        except (ConfigError, NonConvergence) as exc:
+            found.append(type(exc).__name__)
+        except Exception as exc:  # noqa: BLE001 - any other exception is the finding
+            found.append((v, f"{type(exc).__name__}: {exc}"))
+    return found
+
+
+def _unexpected(outcomes):
+    return [outcome for outcome in outcomes if outcome not in _ALLOWED]
+
+
+@pytest.mark.parametrize("slot", SLOTS)
+def test_each_scalar_argument_returns_or_raises_config_error(slot):
+    assert _unexpected(_outcomes(SLOTS[slot], VALUES)) == []
+
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("field", SPEC_FIELDS)
+def test_each_spec_field_returns_or_raises_config_error(field, base, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    spec = BASES[base]
+    outcomes = _outcomes(lambda v: run_experiment(replace(spec, **{field: v})), VALUES)
+    assert _unexpected(outcomes) == []
+    capsys.readouterr()
+
+
+def test_random_specs_return_or_raise_config_error(tmp_path, monkeypatch, capsys):
+    # every field at once: each keeps a base's value or takes one of VALUES,
+    # with a seeded generator, so a failure here replays
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(0)
+    specs = []
+    for _ in range(400):
+        base = BASES[rng.choice(list(BASES))]
+        changes = {f: rng.choice(VALUES) for f in SPEC_FIELDS if rng.random() < 0.15}
+        specs.append(replace(base, **changes))
+    outcomes = _outcomes(run_experiment, specs)
+    assert _unexpected(outcomes) == []
+    # and the draws are not all refused: some of them run
+    assert outcomes.count("returned") > 0
+    capsys.readouterr()

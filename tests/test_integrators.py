@@ -781,12 +781,44 @@ def test_non_convergence_raises_with_context():
 @pytest.mark.parametrize("h", [1e300, 1e200])
 def test_a_step_whose_stages_overflow_does_not_converge(h):
     # the stages overflow to inf, so tol (1 + max|U|) is infinite and any
-    # residual would pass it; a finite maximum is part of the test
+    # residual would pass it; a finite maximum is part of the test.  Sweep 4
+    # writes sweep 3's all-NaN stages again, and the step stops there
     prob = kepler_problem(0.6)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonConvergence) as err:
             hbvm_step(prob, MethodConfig(s=2, k=4), prob.initial_state, h)
-    assert err.value.iterations == _MAX_SWEEPS
+    assert err.value.iterations == 4
+    assert str(err.value) == (
+        f"no fixed point: sweep 4 repeated the non-finite stages of sweep 3 (residual nan, h={h!r})"
+    )
+
+
+def _nan_gradient(y):
+    return np.full(y.shape, np.nan)
+
+
+@pytest.mark.parametrize(
+    "problem, invariants, h, sweeps",
+    [
+        (kepler_problem(0.6), None, 1e300, 4),
+        (kepler_problem(0.6), kepler_invariants("angular_momentum_and_lrl"), 1e200, 4),
+        (replace(kepler_problem(0.6), grad_h=_nan_gradient), None, 0.1, 2),
+    ],
+    ids=["hbvm_overflow", "elim_nu2_overflow", "nan_gradient"],
+)
+def test_a_step_stops_when_its_non_finite_stages_repeat(problem, invariants, h, sweeps):
+    # a sweep that writes the non-finite stage array of the sweep before it
+    # leaves the step where it is, so the step stops there and says why
+    config = MethodConfig(s=3, k=12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonConvergence) as err:
+            integrate(problem, invariants, config, h, 3)
+    assert err.value.iterations == sweeps
+    assert err.value.step_index == 1
+    assert str(err.value) == (
+        f"step 1 of 3: no fixed point: sweep {sweeps} repeated the non-finite stages of "
+        f"sweep {sweeps - 1} (residual nan, h={h!r})"
+    )
 
 
 def test_config_validation():
@@ -971,6 +1003,40 @@ def test_values_of_another_shape_fail_by_name():
     message = "hamiltonian gave shape () on 3 states, expected (3,)"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         integrate(flat, None, MethodConfig(3, 12), 0.1, 2)
+
+
+def test_gradients_of_another_shape_fail_by_name():
+    # the sweep projects the gradients through a reshape, which would pass a
+    # transposed (..., nu, d) invariant gradient silently and fail a wrong nu
+    # with an unnamed error; each step's first sweep names the callable
+    prob = kepler_problem(0.6)
+    both = kepler_invariants("angular_momentum_and_lrl")
+    one = kepler_invariants("angular_momentum_only")
+    config = MethodConfig(3, 12)
+    cases = (
+        (None, replace(prob, grad_h=lambda y: prob.grad_h(y).T),
+         "grad_h gave shape (4, 12) on 12 stages, expected (12, 4)"),
+        (replace(both, gradients=lambda y: np.swapaxes(both.gradients(y), -1, -2)), prob,
+         "InvariantSet.gradients gave shape (12, 2, 4) on 12 stages, expected (12, 4, 2)"),
+        (replace(both, gradients=one.gradients), prob,
+         "InvariantSet.gradients gave shape (12, 4, 1) on 12 stages, expected (12, 4, 2)"),
+    )
+    for invariants, problem, message in cases:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            integrate(problem, invariants, config, 0.1, 2)
+    # every step is checked, with the calls the sweeps make anyway: a
+    # gradient that goes wrong on the third step's first call fails there
+    sweeps = int(integrate(prob, both, config, 0.1, 2).iterations.sum())
+    calls = []
+
+    def late(y):
+        calls.append(1)
+        g = both.gradients(y)
+        return g[..., :1] if len(calls) == sweeps + 1 else g
+
+    with pytest.raises(ConfigError, match=r"^InvariantSet.gradients gave shape \(12, 4, 1\)"):
+        integrate(prob, replace(both, gradients=late), config, 0.1, 3)
+    assert len(calls) == sweeps + 1
 
 
 @pytest.mark.parametrize("h", [0.1, -0.1], ids=["forward", "backward"])

@@ -1,10 +1,13 @@
 """Benchmark Hamiltonian systems and their conserved quantities."""
 
+import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
+from linteg import problems
 from linteg.analysis import cost_ratio
 from linteg.integrators import MethodConfig, integrate
 from linteg.polybasis import gauss_rule, integral_table, legendre_table, xi_coefficient
@@ -305,6 +308,51 @@ def test_every_count_argument_is_an_integer_checked_by_one_rule(function, others
         function(**others, **{name: least - 1})
     if name not in ("k", "degree"):
         assert str(info.value) == f"need {name} >= {least}, got {name}={least - 1}"
+
+
+@pytest.mark.parametrize(
+    "function, others, name, least", _COUNT_ARGUMENTS,
+    ids=[f"{getattr(f, '__name__', 'integrate')}-{name}" for f, _, name, _ in _COUNT_ARGUMENTS],
+)
+def test_a_count_no_array_dimension_holds_fails_by_name(function, others, name, least):
+    # NumPy refuses such a dimension with a bare ValueError, and a float
+    # conversion of 10**400 overflows; the count rule names the argument
+    for value in (2**63, np.uint64(2**64 - 1), 10**400):
+        with pytest.raises(ConfigError, match=f"^{name} is too large for an array dimension$"):
+            function(**others, **{name: value})
+
+
+def test_apply_structure_checks_its_half_dimension():
+    # m is a count, and the gradients' last axis has length 2m
+    for m, message in (
+        (2.0, "m must be an integer, got 2.0"),
+        (0, "need m >= 1, got m=0"),
+        (3, "gradients of shape (4,) do not have length 2m = 6"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            apply_structure(np.zeros(4), m)
+    # and so does a run of a problem record: a NumPy m is used as its int
+    prob = kepler_problem(0.6)
+    with pytest.raises(ConfigError, match="^m must be an integer, got 2.0$"):
+        integrate(replace(prob, m=2.0), None, MethodConfig(3, 12), 0.1, 2)
+    run = [None, MethodConfig(3, 12), 0.1, 2]
+    narrow = integrate(replace(prob, m=np.int8(2)), *run)
+    assert narrow.states.tobytes() == integrate(prob, *run).states.tobytes()
+
+
+def test_every_problem_name_is_one_table_entry():
+    # the oscillators are entries too, and build whatever the eccentricity
+    assert list(problems._PROBLEMS) == ["kepler", *(f"oscillator{d}" for d in (2, 4, 6, 8))]
+    for name in problems._PROBLEMS:
+        assert problems._named_problem(name, 0.6).name == name
+    far = problems._named_problem("oscillator4", 5.0)
+    np.testing.assert_array_equal(far.initial_state, [1.0, 0.0])
+    for name in ("oscillator3", "oscillator02", "oscillator", 4, None):
+        with pytest.raises(ConfigError, match=f"^unknown problem {re.escape(repr(name))}$"):
+            problems._named_problem(name, 0.6)
+    # the eccentricity is a real number even where the problem ignores it
+    with pytest.raises(ConfigError, match="^eccentricity must be a real number, got '0.6'$"):
+        problems._named_problem("oscillator2", "0.6")
 
 
 def _shipped_problems():
