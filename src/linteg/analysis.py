@@ -9,7 +9,8 @@ from typing import Optional
 import numpy as np
 
 from .integrators import MethodConfig, Trajectory, _deviations, integrate
-from .problems import ConfigError, HamiltonianProblem, InvariantSet, _check_count, _check_real, _facts
+from .problems import (
+    ConfigError, HamiltonianProblem, InvariantSet, _check_array, _check_count, _check_real, _facts)
 
 __all__ = [
     "DriftReport",
@@ -36,11 +37,11 @@ class DriftReport:
 
 def estimate_orders(errors) -> np.ndarray:
     """Observed orders log2(e_i / e_{i+1}) for errors on successively halved steps."""
-    errors = np.asarray(errors, dtype=float)
+    errors = _check_array("errors", errors)
     if errors.ndim != 1 or errors.size < 2:
-        raise ValueError("need at least two errors to estimate an order")
+        raise ConfigError("need at least two errors to estimate an order")
     if np.any(errors <= 0.0):
-        raise ValueError("errors must be positive")
+        raise ConfigError("errors must be positive")
     orders = [_observed_order(p, c, 2.0, 1.0) for p, c in zip(errors[:-1], errors[1:])]
     return np.array(orders, dtype=float)
 
@@ -62,10 +63,10 @@ def _whole_multiple(total: float, unit: float) -> int:
 
 def max_norm_error(y: np.ndarray, reference: np.ndarray) -> float:
     """Max-norm distance between a state and its reference, of the same shape."""
-    y, reference = np.asarray(y), np.asarray(reference)
+    y, reference = _check_array("y", y), _check_array("reference", reference)
     if y.shape != reference.shape:
-        raise ValueError(f"state shape {y.shape} differs from reference shape {reference.shape}")
-    return float(np.max(np.abs(y - reference)))
+        raise ConfigError(f"state shape {y.shape} differs from reference shape {reference.shape}")
+    return float(np.max(np.abs(y - reference), initial=0.0))  # 0 between empty states
 
 
 def reference_solution(
@@ -101,10 +102,9 @@ def _reference_steps(problem: HamiltonianProblem, h_ref: float, horizon: float) 
 
 def drift_slope(times, errors) -> float:
     """Least-squares slope of |errors| against times."""
-    times = np.asarray(times, dtype=float)
-    errors = np.abs(np.asarray(errors, dtype=float))
-    if times.shape != errors.shape or times.size < 2:
-        raise ValueError("times and errors must be equal-length with >= 2 samples")
+    times, errors = _check_array("times", times), np.abs(_check_array("errors", errors))
+    if times.ndim != 1 or times.shape != errors.shape or times.size < 2:
+        raise ConfigError("times and errors must be equal-length with >= 2 samples")
     return float(np.polyfit(times, errors, 1)[0])
 
 
@@ -121,9 +121,7 @@ def drift_report(
     """
     h_error, invariant_error = _deviations(problem, monitored, trajectory.states)
     h_slope = drift_slope(trajectory.times, h_error)
-    inv_slopes = np.array(
-        [drift_slope(trajectory.times, invariant_error[:, i]) for i in range(invariant_error.shape[1])]
-    )
+    inv_slopes = np.array([drift_slope(trajectory.times, column) for column in invariant_error.T])
     return DriftReport(
         h_error=h_error,
         invariant_error=invariant_error,

@@ -66,6 +66,10 @@ def _fmt(value) -> str:  # a CSV cell; None, an undefined order, is blank
     return "" if value is None else f"{value:.16g}"
 
 
+def _order_column(values, steps) -> list:  # None, then each value's order (_observed_order)
+    return [None, *map(_observed_order, values, values[1:], steps, steps[1:])]
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment invocation; validate() checks it and returns its run plan."""
@@ -270,13 +274,13 @@ def _run_convergence(plan: _Plan, out: Path) -> None:
                  partial(reference_solution, plan.problem, h_ref, plan.horizon))
     results = _parallel([reference] + _integrations(plan))
     y_ref = next(results)
-    rows, h_prev, prev = [], None, None
+    rows, errors = [], []
     for (h, n), traj in zip(plan.counts, results):
-        err = max_norm_error(traj.states[-1], y_ref)
-        order = "" if prev is None else _fmt(_observed_order(prev, err, h_prev, h))
-        rows.append([_fmt(h), str(n), _fmt(err), order, str(traj.iteration_total)])
+        errors.append(err := max_norm_error(traj.states[-1], y_ref))
+        rows.append([_fmt(h), str(n), _fmt(err), str(traj.iteration_total)])
         print(f"h={_fmt(h)}  n={n}  error={_fmt(err)}  iterations={traj.iteration_total}")
-        h_prev, prev = h, err
+    for row, order in zip(rows, _order_column(errors, [h for h, _ in plan.counts])):
+        row.insert(3, _fmt(order))
     _write_csv(out, ["h", "n_steps", "error", "order", "iteration_total"], rows)
 
 
@@ -293,16 +297,14 @@ def _alpha_rows(traj) -> list:
 
 
 def _run_alpha_norm(plan: _Plan, out: Path) -> None:
-    rows, steps, maxima = [], [], []
+    rows, maxima = [], []
     for h, n, traj in _runs(plan):
-        amax = float(np.max(np.abs(traj.alpha)))
-        steps.append(h)
-        maxima.append(amax)
+        maxima.append(amax := float(np.max(np.abs(traj.alpha))))
         for row, alpha in zip(_alpha_rows(traj), traj.alpha):
             rows.append([_fmt(h)] + row + [_fmt(np.max(np.abs(alpha)))])
         print(f"h={_fmt(h)}  n={n}  max|alpha|={_fmt(amax)}")
     if len(maxima) >= 2:
-        orders = map(_observed_order, maxima, maxima[1:], steps, steps[1:])
+        orders = _order_column(maxima, [h for h, _ in plan.counts])[1:]
         print("alpha orders:", " ".join(map(_fmt, orders)))
     _write_csv(out, ["h", "n", "t"] + _alpha_names(plan.nu) + ["alpha_inf"], rows)
 
@@ -406,14 +408,12 @@ _PAPER = {
 
 
 def _write_order_table(path, steps, labels, values, value_name, order_name):
-    """Write h, then per label its value at h and its order against the
-    previous step (analysis._observed_order), one row per step."""
+    """Write h, then per label its value at h and its order (_order_column), a row per step."""
     header, rows = ["h"], [[_fmt(h)] for h in steps]
     for label in labels:
         header += [f"{value_name}_{label}", f"{order_name}_{label}"]
         column = [values[label, h] for h in steps]
-        orders = [None, *map(_observed_order, column, column[1:], steps, steps[1:])]
-        for row, value, order in zip(rows, column, orders):
+        for row, value, order in zip(rows, column, _order_column(column, steps)):
             row += [_fmt(value), _fmt(order)]
     _write_csv(path, header, rows)
 

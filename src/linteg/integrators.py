@@ -29,6 +29,7 @@ from .problems import (
     ConfigError,
     HamiltonianProblem,
     InvariantSet,
+    _check_array,
     _check_count,
     _check_real,
     _is_real,
@@ -387,12 +388,12 @@ def _stepper(problem, invariants, config, h):
             # permutation, acts on the s projected rows, not the k gradients
             grad = grad_h(Uk)
             if sweeps == 1:
-                _check_gradient("grad_h", grad, (k, d))
+                _check_array("grad_h", grad, (k, d), "stages")
             PTB_k.dot(grad, G_raw).dot(JT, G)
             if nu:
                 grad = gradients(Ur)
                 if sweeps == 1:
-                    _check_gradient("InvariantSet.gradients", grad, (r, d, nu))
+                    _check_array("InvariantSet.gradients", grad, (r, d, nu), "stages")
                 PTB_r.dot(grad.reshape(r, d * nu), Phi)
                 # a NaN column makes its rhs entry NaN and the solve fall
                 # back, so Python's max, which can pass over a NaN, decides
@@ -470,14 +471,6 @@ def _stepper(problem, invariants, config, h):
     return step
 
 
-def _check_gradient(name, grad, shape):
-    # the shape of a gradient array a sweep got, read without a NumPy call
-    # for an ndarray; a mismatch raises by name, as _deviations does
-    got = grad.shape if isinstance(grad, np.ndarray) else np.shape(grad)
-    if got != shape:
-        raise ConfigError(f"{name} gave shape {got} on {shape[0]} stages, expected {shape}")
-
-
 def _one_step(problem, invariants, config, y0, h):
     """One validated step through a fresh stepper; returns (y1, its record)."""
     problem, _, invariants, config, y0, h = _validate(problem, invariants, config, y0, h)
@@ -497,29 +490,18 @@ def _validate(problem, invariants, config, y0, h):
         raise ConfigError("step size must be nonzero")
     if not math.isfinite(h):
         raise ConfigError(f"step size must be finite, got {h!r}")
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (problem.dim,):
-        raise ConfigError(
-            f"state must have shape ({problem.dim},), got {y0.shape}"
-        )
+    y0 = _check_array("state", y0, (problem.dim,))
     if not np.all(np.isfinite(y0)):
         raise ConfigError("state must be finite")
     return problem, nu, invariants, config, y0, h
 
 
 def _deviations(problem, invariants, states):
-    """H and the invariants (an (n+1, 0) array with none) along states, each
-    less its value at states[0]; a callable's values of another shape raise."""
+    """H and the invariants (no columns with none) along states, less their values at states[0]."""
     n = states.shape[0]
-    h_vals = problem.hamiltonian(states)
-    if invariants is None:
-        nu, inv_vals = 0, np.zeros((n, 0))
-    else:
-        nu, inv_vals = invariants.nu, invariants.values(states)
-    for name, vals, shape in (("hamiltonian", h_vals, (n,)),
-                              ("InvariantSet.values", inv_vals, (n, nu))):
-        if np.shape(vals) != shape:
-            raise ConfigError(f"{name} gave shape {np.shape(vals)} on {n} states, expected {shape}")
+    h_vals = _check_array("hamiltonian", problem.hamiltonian(states), (n,), "states")
+    inv_vals = np.zeros((n, 0)) if invariants is None else _check_array(
+        "InvariantSet.values", invariants.values(states), (n, invariants.nu), "states")
     return h_vals - h_vals[0], inv_vals - inv_vals[0]
 
 

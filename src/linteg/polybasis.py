@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import _check_count
+from .problems import _check_array, _check_count
 
 __all__ = [
     "gauss_rule",
@@ -86,7 +86,7 @@ def gauss_rule(n: int) -> QuadratureRule:
 def legendre_table(n_max: int, x) -> np.ndarray:
     """Evaluate P_0 .. P_n_max at the points x; returns shape (n_max + 1,) + x.shape."""
     n_max = _check_count("n_max", n_max, 0)
-    t = 2.0 * np.asarray(x, dtype=float) - 1.0
+    t = 2.0 * _check_array("x", x) - 1.0
     scale = np.sqrt(2.0 * np.arange(n_max + 1) + 1.0)
     return _legendre_rows(n_max, t) * scale.reshape((n_max + 1,) + (1,) * t.ndim)
 
@@ -104,7 +104,7 @@ def integral_table(n_max: int, c) -> np.ndarray:
     int_0^c P_0 = c; at c = 0 all values vanish identically.
     """
     n_max = _check_count("n_max", n_max, 0)
-    c = np.asarray(c, dtype=float)
+    c = _check_array("c", c)
     table = legendre_table(n_max + 1, c)
     out = np.empty((n_max + 1,) + c.shape, dtype=float)
     out[0] = c

@@ -67,11 +67,31 @@ def _check_real(name, value):
         raise ConfigError(f"{name} is too large for a float") from None
 
 
+def _check_array(name, value, shape=None, on=None):
+    """value as np.asarray(value, dtype=float), refusing by name ragged nesting, any entry but
+    a real number a float holds, and any shape but shape.  With on, value is a callable's
+    output on shape[0] `on`, kept as it is if an ndarray of integers or floats of <= 64 bits."""
+    try:
+        array = value if isinstance(value, np.ndarray) else np.asarray(value)
+    except ValueError:
+        raise ConfigError(f"{name} must be an array, got ragged nesting") from None
+    if shape is not None and array.shape != shape:
+        raise ConfigError(f"{name} gave shape {array.shape} on {shape[0]} {on}, expected {shape}" if on
+                          else f"{name} must have shape {shape}, got {array.shape}")
+    if on and (array is not value or array.dtype.kind not in "iuf" or array.itemsize > 8):
+        raise ConfigError(f"{name} gave {array.dtype if array is value else type(value).__name__}, "
+                          "expected an ndarray of integers or of floats of at most 64 bits")
+    if array.dtype.kind not in "iuf":  # entry by entry, where Python ints past int64 convert
+        return np.array([_check_real(f"an entry of {name}", v) for v in array.flat]).reshape(array.shape)
+    return value if on else np.asarray(array, dtype=float)
+
+
 def apply_structure(grad: np.ndarray, m: int) -> np.ndarray:
     """Apply J = [[0, I_m], [-I_m, 0]] to (batches of) gradients of length 2m."""
     m = _check_count("m", m, 1)
-    if np.shape(grad)[-1:] != (2 * m,):
-        raise ConfigError(f"gradients of shape {np.shape(grad)} do not have length 2m = {2 * m}")
+    grad = _check_array("grad", grad)
+    if grad.shape[-1:] != (2 * m,):
+        raise ConfigError(f"gradients of shape {grad.shape} do not have length 2m = {2 * m}")
     out = np.empty_like(grad)
     out[..., :m] = grad[..., m:]
     np.negative(grad[..., :m], out=out[..., m:])

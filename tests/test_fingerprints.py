@@ -4,12 +4,15 @@ The default kernel's sha256 values are the `# fingerprints` lines of
 perfbench/records/<workload>-seed0-trace0.txt.  Any change to the stepper's
 floating-point operations, their order or the layouts they see shows up here.
 
-OpenBLAS's kernels sum in different orders, so the digests are recorded per
-kernel, keyed by OPENBLAS_CORETYPE: "" is the kernel OpenBLAS picks itself,
-SkylakeX on the AVX-512 CPU the records were made on.  A kernel with no
-recorded digests fails.
+OpenBLAS's kernels and NumPy's SIMD loops sum and round in different orders,
+so the digests are recorded per arithmetic, keyed by what this process has
+loaded: (the core OpenBLAS runs, whether NumPy dispatches its X86_V4
+(AVX-512) loops).  OpenBLAS picks its core itself unless OPENBLAS_CORETYPE
+names one; ("SkylakeX", True) is the AVX-512 CPU the records were made on.
+An arithmetic with no recorded digests fails by name.
 """
 
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -22,21 +25,46 @@ import pytest
 from linteg import MethodConfig, harness, integrate, kepler_invariants, kepler_problem
 from test_integrators import _openblas_haswell_kernel_runs_here
 
-KERNEL = os.environ.get("OPENBLAS_CORETYPE", "")
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # NumPy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+
+
+def _openblas_core():
+    # the core of the OpenBLAS bundled with NumPy's wheel, asked of the copy
+    # this process has loaded (CDLL of a loaded library hands back that
+    # copy); None for any other BLAS
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+ARITHMETIC = (_openblas_core(), bool(__cpu_features__.get("X86_V4")))
 DRIFT_STATES_SHA256 = {
-    "": {
+    ("SkylakeX", True): {
         "drift_elim2": "3816fcf81b06046eee48050ff1717eebe8f89f326d7a4ad62b0477ec52e79f6c",
         "drift_hbvm": "e2a0e8d7f895d5bf3f93a16dab347bafa8ae4e17dffa1cd4fcf310bbb88ed1f6",
     },
-    "Haswell": {
+    ("Haswell", True): {
         "drift_elim2": "0d53b9b126f2a01aef6ca5b938825453063f6dd664bf644a04a0c115da9960de",
         "drift_hbvm": "e2a0e8d7f895d5bf3f93a16dab347bafa8ae4e17dffa1cd4fcf310bbb88ed1f6",
     },
 }
 CLI_CSV_SHA256 = {
-    "": "309a40a40a93e6941c64e939fe3f18c389fec165460a8cf43b41ba28a13a6597",
-    "Haswell": "e0e781ee7082f774648069c10102fac31d64202f5f233a81b8ca0bb8284e3beb",
+    ("SkylakeX", True): "309a40a40a93e6941c64e939fe3f18c389fec165460a8cf43b41ba28a13a6597",
+    ("Haswell", True): "e0e781ee7082f774648069c10102fac31d64202f5f233a81b8ca0bb8284e3beb",
 }
+
+
+def _recorded(digests):
+    # the digests of the arithmetic this process runs
+    if ARITHMETIC not in digests:
+        pytest.fail(f"no digests for (core, X86_V4) = {ARITHMETIC}")
+    return digests[ARITHMETIC]
 
 
 @pytest.mark.parametrize(
@@ -48,7 +76,7 @@ def test_drift_jobs_match_recorded_states(workload, invariants, r):
     inv = kepler_invariants(invariants) if invariants else None
     traj = integrate(kepler_problem(0.6), inv, MethodConfig(s=3, k=12, r=r), 0.1, 100)
     digest = hashlib.sha256(np.ascontiguousarray(traj.states).tobytes()).hexdigest()
-    assert digest == DRIFT_STATES_SHA256[KERNEL][workload]
+    assert digest == _recorded(DRIFT_STATES_SHA256)[workload]
 
 
 def test_cli_convergence_job_matches_recorded_csv(tmp_path, capsys):
@@ -61,7 +89,7 @@ def test_cli_convergence_job_matches_recorded_csv(tmp_path, capsys):
     ]
     assert harness.main(argv) == 0
     capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_CSV_SHA256[KERNEL]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _recorded(CLI_CSV_SHA256)
 
 
 @pytest.mark.skipif(

@@ -1,11 +1,9 @@
-"""Seeded fuzz of the public entry points' scalar arguments and of every
-ExperimentSpec field.
+"""Seeded fuzz of the public entry points' scalar and array arguments and of
+every ExperimentSpec field.
 
 Each call returns or raises ConfigError; a valid input that does not converge
-may raise NonConvergence instead.  Array-valued data arguments (a state y0,
-legendre_table's x, integral_table's c, the errors and times of the analysis
-helpers) are not covered: README says so.  NumPy's floating-point warnings
-are silenced, as a step size of 1e308 overflows by design.
+may raise NonConvergence instead.  NumPy's floating-point warnings are
+silenced, as a step size of 1e308 overflows by design.
 """
 
 import math
@@ -25,6 +23,7 @@ from linteg import (
     build_hbvm_tableau,
     cost_ratio,
     elim_step,
+    estimate_orders,
     gauss_rule,
     hbvm_step,
     integral_table,
@@ -32,11 +31,13 @@ from linteg import (
     kepler_invariants,
     kepler_problem,
     legendre_table,
+    max_norm_error,
     polynomial_oscillator,
     reference_solution,
     xhat_matrix,
     xi_coefficient,
 )
+from linteg.analysis import drift_slope
 from linteg.harness import ExperimentSpec, parse_step_size, run_experiment
 
 # ints, bools, non-finite and extreme floats, integers past any float or
@@ -97,6 +98,34 @@ SLOTS = {
     "parse_step_size.token": parse_step_size,
     **{f"cost_ratio.{name}": _cost_ratio_slot(i)
        for i, name in enumerate(("r1", "k1", "r2", "k2", "nu"))},
+}
+
+# hostile arrays: a list past any float, complex, bool, text NumPy would
+# parse, ragged nesting, non-numbers, 0-d arrays and arrays of another ndim
+# or shape; then arrays of valid entries (integers past int64, int8,
+# float32), so that calls and pairs of arrays also go through
+ARRAYS = [
+    [10**400], [0.5, -10**400], [1j], np.array([0.5j, 1.0]), [True, False], np.array([True]), True,
+    ["0.5"], "0.5", [[0.1], [0.2, 0.3]], [[1], 0, 0, 1], object(), [object()], None, [None, 0.5],
+    [Fraction(1, 2)], [Decimal("0.5")], np.array(0.5), np.array(3), 0.5, [], np.zeros((2, 2, 2)),
+    np.ones((1, 4)), np.ones((4, 1)),
+    [0.0, 1.0], [1e-3, 5e-4], [2**64, 1], np.array([1, 2, 3, 4], dtype=np.int8),
+    np.array([0.4, 0.1, 0.2, 1.9], dtype=np.float32), Y0, Y0.tolist(),
+]
+
+# each public entry point's array arguments, one at a time, the others valid;
+# the two-array helpers take a pair
+ARRAY_SLOTS = {
+    "hbvm_step.y0": lambda v: hbvm_step(KEPLER, MethodConfig(2, 4), v, 0.1),
+    "elim_step.y0": lambda v: elim_step(KEPLER, L1, MethodConfig(2, 4), v, 0.1),
+    "HamiltonianProblem.initial_state":
+        lambda v: integrate(replace(KEPLER, initial_state=v), None, MethodConfig(2, 4), 0.1, 2),
+    "legendre_table.x": lambda v: legendre_table(3, v),
+    "integral_table.c": lambda v: integral_table(3, v),
+    "estimate_orders.errors": estimate_orders,
+    "apply_structure.grad": lambda v: apply_structure(v, 2),
+    "drift_slope.times, errors": lambda pair: drift_slope(*pair),
+    "max_norm_error.y, reference": lambda pair: max_norm_error(*pair),
 }
 
 # two valid specs of one short run each: an HBVM drift and an ELIM iterations table
@@ -162,3 +191,17 @@ def test_random_specs_return_or_raise_config_error(tmp_path, monkeypatch, capsys
     # and the draws are not all refused: some of them run
     assert outcomes.count("returned") > 0
     capsys.readouterr()
+
+
+def test_each_array_argument_returns_or_raises_config_error():
+    # every array of ARRAYS in each single slot, and seeded pairs of them
+    # (each array with itself included) in the two-array slots
+    rng = random.Random(0)
+    pairs = [(a, a) for a in ARRAYS] + [(rng.choice(ARRAYS), rng.choice(ARRAYS)) for _ in range(300)]
+    unexpected = {}
+    for slot, call in ARRAY_SLOTS.items():
+        outcomes = _outcomes(call, pairs if "," in slot else ARRAYS)
+        unexpected[slot] = _unexpected(outcomes)
+        # and some calls go through
+        assert "returned" in outcomes, slot
+    assert unexpected == dict.fromkeys(ARRAY_SLOTS, [])

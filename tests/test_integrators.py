@@ -986,23 +986,40 @@ def test_step_rejects_bad_inputs():
         elim_step(prob, both, MethodConfig(s=2, k=4), prob.initial_state, 0.1)
 
 
+# a callable's output made into one that is no real ndarray: a list of the
+# right shape, a complex array and a bool array, each refused by its type
+_NOT_REAL_NDARRAYS = (("list", lambda a: a.tolist()), ("complex128", lambda a: a.astype(complex)),
+                      ("bool", lambda a: a > 0))
+_NOT_REAL_NDARRAY = "expected an ndarray of integers or of floats of at most 64 bits"
+
+
 def test_values_of_another_shape_fail_by_name():
     # integrate and drift_report take H and the invariants along the states
     # from the callables; a series of the wrong shape is named, not broadcast
-    # into invariant_error or left to fail on an index
+    # into invariant_error or left to fail on an index, and so is a series
+    # that is no real ndarray
     prob = kepler_problem(0.6)
+    one = kepler_invariants("angular_momentum_only")
     wide = InvariantSet(
         1,
         kepler_invariants("angular_momentum_and_lrl").values,
         kepler_invariants("angular_momentum_only").gradients,
     )
-    message = "InvariantSet.values gave shape (3, 2) on 3 states, expected (3, 1)"
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        integrate(prob, wide, MethodConfig(3, 12), 0.1, 2)
     flat = HamiltonianProblem("flat", 2, lambda y: 0.0, prob.grad_h, prob.initial_state)
-    message = "hamiltonian gave shape () on 3 states, expected (3,)"
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        integrate(flat, None, MethodConfig(3, 12), 0.1, 2)
+    cases = [
+        (prob, wide, "InvariantSet.values gave shape (3, 2) on 3 states, expected (3, 1)"),
+        (flat, None, "hamiltonian gave shape () on 3 states, expected (3,)"),
+    ]
+    for got, change in _NOT_REAL_NDARRAYS:
+        cases += [
+            (replace(prob, hamiltonian=lambda y, change=change: change(prob.hamiltonian(y))), None,
+             f"hamiltonian gave {got}, {_NOT_REAL_NDARRAY}"),
+            (prob, replace(one, values=lambda y, change=change: change(one.values(y))),
+             f"InvariantSet.values gave {got}, {_NOT_REAL_NDARRAY}"),
+        ]
+    for problem, invariants, message in cases:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            integrate(problem, invariants, MethodConfig(3, 12), 0.1, 2)
 
 
 def test_gradients_of_another_shape_fail_by_name():
@@ -1021,6 +1038,14 @@ def test_gradients_of_another_shape_fail_by_name():
         (replace(both, gradients=one.gradients), prob,
          "InvariantSet.gradients gave shape (12, 4, 1) on 12 stages, expected (12, 4, 2)"),
     )
+    # and so are arrays that are no real ndarray, on the same first sweep
+    for got, change in _NOT_REAL_NDARRAYS:
+        cases += (
+            (None, replace(prob, grad_h=lambda y, change=change: change(prob.grad_h(y))),
+             f"grad_h gave {got}, {_NOT_REAL_NDARRAY}"),
+            (replace(both, gradients=lambda y, change=change: change(both.gradients(y))), prob,
+             f"InvariantSet.gradients gave {got}, {_NOT_REAL_NDARRAY}"),
+        )
     for invariants, problem, message in cases:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             integrate(problem, invariants, config, 0.1, 2)
