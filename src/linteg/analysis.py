@@ -101,10 +101,12 @@ def _reference_steps(problem: HamiltonianProblem, h_ref: float, horizon: float) 
 
 
 def drift_slope(times, errors) -> float:
-    """Least-squares slope of |errors| against times."""
+    """Least-squares slope of |errors| against times by np.polyfit, which divides by their norm."""
     times, errors = _check_array("times", times), np.abs(_check_array("errors", errors))
     if times.ndim != 1 or times.shape != errors.shape or times.size < 2:
         raise ConfigError("times and errors must be equal-length with >= 2 samples")
+    if not (0.0 < sum(t * t for t in times.tolist()) < math.inf and times.min() < times.max()):
+        raise ConfigError("times need two distinct values and a sum of squares in (0, inf)")
     return float(np.polyfit(times, errors, 1)[0])
 
 

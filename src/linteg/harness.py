@@ -511,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, text in helps.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON file with defaults; flags override it")
-        for key, (flag, _, options) in _SETTINGS.items():
+        for key, (flag, options) in _SETTINGS.items():
             if name != "tableau" or key not in ("steps", "horizon"):
                 p.add_argument(flag, dest=key, **options, **live.get(key, {}))
 
@@ -521,34 +521,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_JSON_KINDS = {
-    "a string": lambda v: isinstance(v, str),
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a number": _is_real,
-    "null": lambda v: v is None,
-    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_real, v)),
-}
-# each setting of an experiment subcommand: its flag, the JSON values its
-# --config key takes, and its argparse options; ExperimentSpec holds the defaults
+# each setting of an experiment subcommand: its flag and argparse options;
+# ExperimentSpec holds the defaults and checks each value, from a flag or a --config key
 _SETTINGS = {
-    "problem": ("--problem", ("a string",), {}),  # help from the problems table
-    "eccentricity": ("--eccentricity", ("a number",),
-                     dict(type=float, help="kepler eccentricity")),
-    "method": ("--method", ("a string",), dict(choices=_METHODS, help="integrator family")),
-    "s": ("-s", ("an integer",), dict(type=int, help="polynomial degree count (order 2s)")),
-    "k": ("-k", ("an integer", "null"), dict(type=int, help="Gauss nodes for the Hamiltonian")),
-    "r": ("-r", ("an integer", "null"), dict(type=int, help="Gauss nodes for the invariants")),
-    "invariants": ("--invariants", ("a string",), dict(help="invariants the method imposes")),
-    "tol": ("--tol", ("a number",), dict(type=float, help="fixed-point tolerance")),
-    "out": ("--out", ("a string",), dict(help="output file path")),
-    "steps": ("--steps", ("a string", "a list of numbers"),
-              dict(help="comma list of step sizes, e.g. pi/30,pi/60")),
-    "horizon": ("--horizon", ("a string", "a number"),
-                dict(help="integration time, e.g. 20pi or 1000")),
+    "problem": ("--problem", {}),  # help from the problems table
+    "eccentricity": ("--eccentricity", dict(type=float, help="kepler eccentricity")),
+    "method": ("--method", dict(choices=_METHODS, help="integrator family")),
+    "s": ("-s", dict(type=int, help="polynomial degree count (order 2s)")),
+    "k": ("-k", dict(type=int, help="Gauss nodes for the Hamiltonian")),
+    "r": ("-r", dict(type=int, help="Gauss nodes for the invariants")),
+    "invariants": ("--invariants", dict(help="invariants the method imposes")),
+    "tol": ("--tol", dict(type=float, help="fixed-point tolerance")),
+    "out": ("--out", dict(help="output file path")),
+    "steps": ("--steps", dict(help="comma list of step sizes, e.g. pi/30,pi/60")),
+    "horizon": ("--horizon", dict(help="integration time, e.g. 20pi or 1000")),
 }
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, keys: list) -> dict:
     try:
         # JSON text is UTF-8 (RFC 8259), whatever the locale
         with open(path, encoding="utf-8") as fh:
@@ -559,13 +549,9 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(values) - set(_SETTINGS)
+    unknown = set(values) - set(keys)  # keys: the settings the subcommand has flags for
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in values.items():
-        kinds = _SETTINGS[key][1]
-        if not any(_JSON_KINDS[kind](value) for kind in kinds):
-            raise ConfigError(f"config key {key!r} must be {' or '.join(kinds)}, got {value!r}")
     return values
 
 
@@ -573,7 +559,7 @@ def _spec_from_args(args: argparse.Namespace, env_tol: Optional[float]) -> Exper
     # rising precedence: ELIM_FP_TOL, the --config file, the flags given
     values = {} if env_tol is None else {"tol": env_tol}
     if args.config:
-        values.update(_load_config(args.config))
+        values.update(_load_config(args.config, [key for key in _SETTINGS if hasattr(args, key)]))
     for key in _SETTINGS:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
@@ -583,11 +569,8 @@ def _spec_from_args(args: argparse.Namespace, env_tol: Optional[float]) -> Exper
         steps = [parse_step_size(tok) for tok in steps.split(",")]
     if isinstance(values.get("horizon"), str):
         values["horizon"] = parse_step_size(values["horizon"])
-    for key in ("eccentricity", "tol", "horizon"):
-        if key in values:
-            values[key] = _check_real(f"config key {key!r}", values[key])
-    steps = tuple(_check_real("config key 'steps'", h) for h in steps)
-    return ExperimentSpec(args.experiment, step_sizes=steps, **values)
+    step_sizes = tuple(steps) if isinstance(steps, list) else steps
+    return ExperimentSpec(args.experiment, step_sizes=step_sizes, **values)
 
 
 def main(argv=None) -> int:

@@ -3,16 +3,9 @@
 The default kernel's sha256 values are the `# fingerprints` lines of
 perfbench/records/<workload>-seed0-trace0.txt.  Any change to the stepper's
 floating-point operations, their order or the layouts they see shows up here.
-
-OpenBLAS's kernels and NumPy's SIMD loops sum and round in different orders,
-so the digests are recorded per arithmetic, keyed by what this process has
-loaded: (the core OpenBLAS runs, whether NumPy dispatches its X86_V4
-(AVX-512) loops).  OpenBLAS picks its core itself unless OPENBLAS_CORETYPE
-names one; ("SkylakeX", True) is the AVX-512 CPU the records were made on.
-An arithmetic with no recorded digests fails by name.
+The digests are recorded per arithmetic (see conftest).
 """
 
-import ctypes
 import hashlib
 import os
 import subprocess
@@ -23,27 +16,10 @@ import numpy as np
 import pytest
 
 from linteg import MethodConfig, harness, integrate, kepler_invariants, kepler_problem
+
+from conftest import _recorded
 from test_integrators import _openblas_haswell_kernel_runs_here
 
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:  # NumPy 1.x
-    from numpy.core._multiarray_umath import __cpu_features__
-
-
-def _openblas_core():
-    # the core of the OpenBLAS bundled with NumPy's wheel, asked of the copy
-    # this process has loaded (CDLL of a loaded library hands back that
-    # copy); None for any other BLAS
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
-    if not libs:
-        return None
-    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
-
-
-ARITHMETIC = (_openblas_core(), bool(__cpu_features__.get("X86_V4")))
 DRIFT_STATES_SHA256 = {
     ("SkylakeX", True): {
         "drift_elim2": "3816fcf81b06046eee48050ff1717eebe8f89f326d7a4ad62b0477ec52e79f6c",
@@ -58,13 +34,6 @@ CLI_CSV_SHA256 = {
     ("SkylakeX", True): "309a40a40a93e6941c64e939fe3f18c389fec165460a8cf43b41ba28a13a6597",
     ("Haswell", True): "e0e781ee7082f774648069c10102fac31d64202f5f233a81b8ca0bb8284e3beb",
 }
-
-
-def _recorded(digests):
-    # the digests of the arithmetic this process runs
-    if ARITHMETIC not in digests:
-        pytest.fail(f"no digests for (core, X86_V4) = {ARITHMETIC}")
-    return digests[ARITHMETIC]
 
 
 @pytest.mark.parametrize(
@@ -96,15 +65,23 @@ def test_cli_convergence_job_matches_recorded_csv(tmp_path, capsys):
     not _openblas_haswell_kernel_runs_here(), reason="needs OpenBLAS on an AVX2 and FMA CPU"
 )
 def test_jobs_match_their_recorded_bytes_under_the_haswell_kernel():
-    # The three jobs above, rerun in a child process whose OpenBLAS runs its
-    # Haswell kernel, against that kernel's own digests
+    # The three jobs above and every pin keyed by arithmetic (with the tables
+    # they sit in), rerun in a child process whose OpenBLAS runs its Haswell
+    # kernel, against that kernel's own digests
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=str(root / "src"))
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_fingerprints.py::test_drift_jobs_match_recorded_states",
-         "tests/test_fingerprints.py::test_cli_convergence_job_matches_recorded_csv"],
+         "tests/test_fingerprints.py::test_cli_convergence_job_matches_recorded_csv",
+         "tests/test_harness.py::test_reproduce_paper_tables_match_the_subcommands",
+         "tests/test_harness.py::test_cli_bytes_are_pinned",
+         "tests/test_integrators.py::test_solve_scaling_outputs_are_pinned",
+         "tests/test_integrators.py::test_nu2_runs_off_the_fingerprinted_path_are_pinned",
+         "tests/test_integrators.py::test_runs_off_the_fingerprinted_path_are_pinned",
+         "tests/test_tableau.py::test_hbvm_tableau_bytes_are_pinned",
+         "tests/test_tableau.py::test_large_hbvm_tableau_bytes_are_pinned"],
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout
-    assert "3 passed" in done.stdout, done.stdout
+    assert "41 passed" in done.stdout, done.stdout

@@ -1,13 +1,15 @@
-"""Seeded fuzz of the public entry points' scalar and array arguments and of
-every ExperimentSpec field.
+"""Seeded fuzz of the public entry points' scalar and array arguments, of
+every ExperimentSpec field and of every --config key.
 
 Each call returns or raises ConfigError; a valid input that does not converge
 may raise NonConvergence instead.  NumPy's floating-point warnings are
 silenced, as a step size of 1e308 overflows by design.
 """
 
+import json
 import math
 import random
+import shutil
 from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -38,7 +40,7 @@ from linteg import (
     xi_coefficient,
 )
 from linteg.analysis import drift_slope
-from linteg.harness import ExperimentSpec, parse_step_size, run_experiment
+from linteg.harness import _SETTINGS, ExperimentSpec, main, parse_step_size, run_experiment
 
 # ints, bools, non-finite and extreme floats, integers past any float or
 # array dimension, NumPy scalars from int8 and float16 to longdouble, 0-d and
@@ -112,6 +114,10 @@ ARRAYS = [
     [0.0, 1.0], [1e-3, 5e-4], [2**64, 1], np.array([1, 2, 3, 4], dtype=np.int8),
     np.array([0.4, 0.1, 0.2, 1.9], dtype=np.float32), Y0, Y0.tolist(),
 ]
+
+# times np.polyfit cannot fit a line against: non-finite, all equal, and so
+# small or so large that their squares sum to 0 or overflow
+TIMES = [[0, math.nan], [0, math.inf], [1, 1], [1e-170, 2e-170], [0, 5e-324], [1e200, 2e200]]
 
 # each public entry point's array arguments, one at a time, the others valid;
 # the two-array helpers take a pair
@@ -193,11 +199,13 @@ def test_random_specs_return_or_raise_config_error(tmp_path, monkeypatch, capsys
     capsys.readouterr()
 
 
-def test_each_array_argument_returns_or_raises_config_error():
+def test_each_array_argument_returns_or_raises_config_error(capfd):
     # every array of ARRAYS in each single slot, and seeded pairs of them
-    # (each array with itself included) in the two-array slots
+    # (each array with itself included) in the two-array slots, then each of
+    # TIMES with errors of its length; nothing reaches stderr (LAPACK prints there)
     rng = random.Random(0)
     pairs = [(a, a) for a in ARRAYS] + [(rng.choice(ARRAYS), rng.choice(ARRAYS)) for _ in range(300)]
+    pairs += [(times, [1, 2]) for times in TIMES]
     unexpected = {}
     for slot, call in ARRAY_SLOTS.items():
         outcomes = _outcomes(call, pairs if "," in slot else ARRAYS)
@@ -205,3 +213,54 @@ def test_each_array_argument_returns_or_raises_config_error():
         # and some calls go through
         assert "returned" in outcomes, slot
     assert unexpected == dict.fromkeys(ARRAY_SLOTS, [])
+    assert capfd.readouterr().err == ""
+
+
+def _json_representable(value):
+    try:
+        json.dumps(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+# a valid --config file of one short run per subcommand kind, steps and
+# horizon given as a string and as a number or a list
+CONFIGS = {
+    "drift": dict(method="hbvm", s=2, k=4, steps="0.1", horizon=0.2, out="out.csv"),
+    "iterations": dict(method="elim", s=2, k=4, r=4, invariants="L1", steps=[0.1], horizon="0.2",
+                       out="out.csv"),
+    "tableau": dict(s=2, k=4, out="out.json"),
+}
+
+
+def test_each_config_key_exits_0_or_2_and_a_refusal_writes_nothing(tmp_path, monkeypatch, capsys):
+    # each JSON value of VALUES under each key of _SETTINGS, then seeded draws
+    # changing several keys at once, through main; a key tableau has no flag
+    # for is refused as unknown
+    values = [v for v in VALUES if _json_representable(v)]
+    rng = random.Random(0)
+    files = [(name, {**base, key: v}) for name, base in CONFIGS.items() for key in _SETTINGS
+             for v in values]
+    for _ in range(100):
+        name = rng.choice(list(CONFIGS))
+        changes = {key: rng.choice(values) for key in _SETTINGS if rng.random() < 0.15}
+        files.append((name, {**CONFIGS[name], **changes}))
+    cfg, run = tmp_path / "cfg.json", tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    monkeypatch.delenv("ELIM_FP_TOL", raising=False)
+    codes, unexpected = [], []
+    for name, settings in files:
+        cfg.write_text(json.dumps(settings))
+        capsys.readouterr()
+        codes.append(main([name, "--config", str(cfg)]))
+        out, written = capsys.readouterr().out, sorted(p.name for p in run.iterdir())
+        refused = name == "tableau" and not {"steps", "horizon"}.isdisjoint(settings)
+        if codes[-1] not in ((2,) if refused else (0, 2)) or codes[-1] == 2 and (out or written):
+            unexpected.append((name, settings, codes[-1], out, written))
+        for path in run.iterdir():
+            shutil.rmtree(path) if path.is_dir() else path.unlink()
+    assert unexpected == []
+    # and both outcomes occur
+    assert {0, 2} <= set(codes)

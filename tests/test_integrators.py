@@ -38,6 +38,8 @@ from linteg.problems import (
 )
 from linteg.tableau import build_hbvm_tableau
 
+from conftest import _recorded
+
 GAUSS_A = {
     1: np.array([[0.5]]),
     2: np.array([
@@ -380,8 +382,13 @@ def _pinned_scaling_inputs():
 
 # sha256 over, per input of _pinned_scaling_inputs, the bytes of alpha, the
 # fallback flag and whether alpha is alpha_old itself; recorded when the
-# nu <= 2 closed form and the LU path each had their own acceptance rules
-SOLVE_SCALING_SHA256 = "b2cff0d04340cbec5c5f90819fd796848c6acd37211dcf85353501f716672272"
+# nu <= 2 closed form and the LU path each had their own acceptance rules,
+# per arithmetic (see conftest)
+SOLVE_SCALING_SHA256 = {
+    ("SkylakeX", True): "b2cff0d04340cbec5c5f90819fd796848c6acd37211dcf85353501f716672272",
+    ("SkylakeX", False): "b2cff0d04340cbec5c5f90819fd796848c6acd37211dcf85353501f716672272",
+    ("Haswell", True): "547bd4c0fa17311919d5679758ab3b2ebf819e2e0b1a40dd5e17e005fe6645e0",
+}
 
 
 def test_solve_scaling_outputs_are_pinned():
@@ -390,7 +397,7 @@ def test_solve_scaling_outputs_are_pinned():
         alpha, fallback = _solve_scaling(g, b, w, old, noise)
         digest.update(struct.pack(f"{len(b)}d", *alpha))
         digest.update(bytes([fallback, alpha is old]))
-    assert digest.hexdigest() == SOLVE_SCALING_SHA256
+    assert digest.hexdigest() == _recorded(SOLVE_SCALING_SHA256)
 
 
 def _lu_solve_scaling(g, b, w, alpha_old, rhs_noise):
@@ -494,12 +501,19 @@ def test_elim_step_matches_reference_sweep(nu, r, s, k):
 # take: the stacked path (r != k) and s = 8.  sha256 of the states and of the
 # per-step alpha, recorded before the nu = 2 scaling system moved from NumPy
 # calls into Python floats; test_elim_step_matches_reference_sweep holds
-# these runs to one ulp only.
+# these runs to one ulp only.  A run the arithmetic moves is keyed by
+# arithmetic (see conftest).
 NU2_RUN_SHA256 = {
-    (3, 12, 8): (
-        "745ea3fb2675085832cf1df5009e1c86d8f8d6c3bc320a8a04b1b38080415ffe",
-        "5ae232ad5bd6aeede703fc5a76d558b53ad92fafc27eb4366d8f9486d30363d9",
-    ),
+    (3, 12, 8): {
+        ("SkylakeX", True): (
+            "745ea3fb2675085832cf1df5009e1c86d8f8d6c3bc320a8a04b1b38080415ffe",
+            "5ae232ad5bd6aeede703fc5a76d558b53ad92fafc27eb4366d8f9486d30363d9",
+        ),
+        ("Haswell", True): (
+            "6c0c7c459c983fa58155977ab45c3af07a676691810940df72ed7a1e5adbc474",
+            "5b27e117ed3d5203e2b6f779fe641988cf48b6635744b1a9105e611d3956b022",
+        ),
+    },
     (8, 12, 12): (
         "2180737d9c1d77f088ce80455b76830623373f4ebd9098fb205f44bd24bafcb0",
         "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865",
@@ -516,7 +530,7 @@ def test_nu2_runs_off_the_fingerprinted_path_are_pinned(s, k, r):
         hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
         for a in (traj.states, traj.alpha)
     )
-    assert digests == NU2_RUN_SHA256[(s, k, r)]
+    assert digests == _recorded(NU2_RUN_SHA256[(s, k, r)])
 
 
 # Runs on Kepler e = 0.6 from perihelion that take branches the fingerprints
@@ -525,30 +539,50 @@ def test_nu2_runs_off_the_fingerprinted_path_are_pinned(s, k, r):
 # the stacked path; HBVM with k = 16, where OpenBLAS groups the k-term
 # sums by operand layout (see problems); and negative steps, where the
 # first stage array h ((I eta) @ 0) holds -0.0.  sha256 of the states, and
-# of the per-step alpha where there is one.
+# of the per-step alpha where there is one; a run the arithmetic moves is
+# keyed by arithmetic (see conftest).
 OFF_PATH_RUN_SHA256 = {
     ("angular_momentum_only", 8, 12, 12, 0.2, 50): (
         "caae736a59651b74c7e2251d9388bbcedd65ca8ec96b30abe14dccafd3f6b96d",
         "193432fdf2c0a8f54c3f36bd73679beb68d7b4723d6d3e07cd63ea9bb726fe83",
     ),
-    ("angular_momentum_only", 3, 12, 8, 0.1, 100): (
-        "7ac3245f8b1a49a564bff0935e6ba01eddaeb69ab56f793d613f364900938134",
-        "74787b5ec98641f8d9e098438761fe05cc26b23025bfe634ffdba529a9f8d669",
-    ),
-    (None, 3, 16, None, 0.1, 100): (
-        "b8432bfd0cdf6d1c9af8c2aa078a9f7ac31d99dc761178219cda09f35f22f2e8",
-    ),
+    ("angular_momentum_only", 3, 12, 8, 0.1, 100): {
+        ("SkylakeX", True): (
+            "7ac3245f8b1a49a564bff0935e6ba01eddaeb69ab56f793d613f364900938134",
+            "74787b5ec98641f8d9e098438761fe05cc26b23025bfe634ffdba529a9f8d669",
+        ),
+        ("Haswell", True): (
+            "95411b2f1139d1f3bc9d4348bffb620e6971702403a4dca010be917fd7e4b721",
+            "dd83e9470ef79df3c5f27cb8ef116dc7a72b9561a6932a09fb388c0abb53ee27",
+        ),
+    },
+    (None, 3, 16, None, 0.1, 100): {
+        ("SkylakeX", True): ("b8432bfd0cdf6d1c9af8c2aa078a9f7ac31d99dc761178219cda09f35f22f2e8",),
+        ("Haswell", True): ("f880c860620dcc043e6e072e5067bc2cc8c8cef14e63350b17eca366ffce7133",),
+    },
     (None, 3, 12, None, -0.1, 100): (
         "5cb395df94c34b38e5df78591e08c84179205a2c94d2eb41d1d9c05232d9637c",
     ),
-    ("angular_momentum_and_lrl", 3, 12, 12, -0.1, 100): (
-        "81a0de2ef8c79e2d8285d3a906259640d9dbb9b4675e9af32a32fe0fb4e20537",
-        "18a478c6e7e4e1b570848b4df950b2c46c0d2a1201ffed52fde624afad7274bb",
-    ),
-    ("angular_momentum_only", 3, 12, 12, -0.1, 100): (
-        "6e5e4029036fc3b6b14a40ebf02e5d964fc96b86b8bdd53f279556fb38465ea5",
-        "3edf046dc4511cb7b79e7bced76154e6863e8082f203620891fa278b1d126cb1",
-    ),
+    ("angular_momentum_and_lrl", 3, 12, 12, -0.1, 100): {
+        ("SkylakeX", True): (
+            "81a0de2ef8c79e2d8285d3a906259640d9dbb9b4675e9af32a32fe0fb4e20537",
+            "18a478c6e7e4e1b570848b4df950b2c46c0d2a1201ffed52fde624afad7274bb",
+        ),
+        ("Haswell", True): (
+            "d140dc362f68525a235d2198b2c38caa8e2552b1debb2cbfa8eb277a1a9b4582",
+            "629fdb0c4e7b0f7a22cc4782678b81ab2f9034c9ef20c5745422815f96888d36",
+        ),
+    },
+    ("angular_momentum_only", 3, 12, 12, -0.1, 100): {
+        ("SkylakeX", True): (
+            "6e5e4029036fc3b6b14a40ebf02e5d964fc96b86b8bdd53f279556fb38465ea5",
+            "3edf046dc4511cb7b79e7bced76154e6863e8082f203620891fa278b1d126cb1",
+        ),
+        ("Haswell", True): (
+            "1d220fc11cfb64db505a39dc10970619f3e95ab604765b18a7768f335b25e7cd",
+            "0ab1af5edcdf411f48c6d94e5db49e8800a22e6ffa3f33c0c6848486c6c3a525",
+        ),
+    },
 }
 
 
@@ -564,7 +598,7 @@ def test_runs_off_the_fingerprinted_path_are_pinned(which, s, k, r, h, n_steps):
     digests = tuple(
         hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays
     )
-    assert digests == OFF_PATH_RUN_SHA256[(which, s, k, r, h, n_steps)]
+    assert digests == _recorded(OFF_PATH_RUN_SHA256[(which, s, k, r, h, n_steps)])
 
 
 def _pinned_nu2_operands(rng, s, d, spread):
