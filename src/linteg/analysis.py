@@ -100,14 +100,33 @@ def _reference_steps(problem: HamiltonianProblem, h_ref: float, horizon: float) 
     return max(1, int(round(horizon / h_ref)))
 
 
+def _fsum(values) -> float:
+    """math.fsum(values), or nan where fsum raises (inf - inf, a finite sum past float range)."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _fit_times(times: np.ndarray) -> tuple:
+    """(dt, sum(dt^2)) for dt = times - mean(times), centred twice so that dt sums to ~0; a
+    ConfigError unless sum(dt^2) lies in (0, inf), the one rule of a drift fit."""
+    mean = _fsum(t := times.tolist()) / len(t)
+    shift = _fsum(dt := [x - mean for x in t]) / len(t)
+    dt = [d - shift for d in dt]
+    if not 0.0 < (ss := _fsum(d * d for d in dt)) < math.inf:
+        raise ConfigError("times need squared deviations from their mean summing into (0, inf)")
+    return dt, ss
+
+
 def drift_slope(times, errors) -> float:
-    """Least-squares slope of |errors| against times by np.polyfit, which divides by their norm."""
+    """Least-squares slope sum(dt de) / sum(dt^2) of de = |errors| - mean(|errors|) on times."""
     times, errors = _check_array("times", times), np.abs(_check_array("errors", errors))
     if times.ndim != 1 or times.shape != errors.shape or times.size < 2:
         raise ConfigError("times and errors must be equal-length with >= 2 samples")
-    if not (0.0 < sum(t * t for t in times.tolist()) < math.inf and times.min() < times.max()):
-        raise ConfigError("times need two distinct values and a sum of squares in (0, inf)")
-    return float(np.polyfit(times, errors, 1)[0])
+    dt, ss = _fit_times(times)
+    mean = _fsum(e := errors.tolist()) / len(e)
+    return _fsum(d * (x - mean) for d, x in zip(dt, e)) / ss
 
 
 def drift_report(

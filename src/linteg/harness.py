@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import _observed_order, _reference_steps, _whole_multiple
+from .analysis import _fit_times, _observed_order, _reference_steps, _whole_multiple
 from .analysis import drift_report, max_norm_error, reference_solution
 from .integrators import MethodConfig, NonConvergence, _max_steps, integrate
 from .problems import ConfigError, HamiltonianProblem, InvariantSet, _check_real, _facts, _is_real
@@ -140,6 +140,8 @@ class ExperimentSpec:
                         f"horizon {horizon!r} / step size {h!r} is {ratio:.3g} steps, "
                         f"more than the {_max_steps(problem.dim)} whose states an array can hold"
                     )
+                if self.experiment == "drift":  # the times drift_report fits its slopes against
+                    _fit_times(h * np.arange(n + 1))
                 counts.append((h, n))
         # fail on impossible method parameters before any stepping (gauss has k = s)
         config = MethodConfig(self.s, self.s if self.k is None else self.k, self.r, self.tol)
@@ -511,9 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, text in helps.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON file with defaults; flags override it")
-        for key, (flag, options) in _SETTINGS.items():
-            if name != "tableau" or key not in ("steps", "horizon"):
-                p.add_argument(flag, dest=key, **options, **live.get(key, {}))
+        for key in _TABLEAU_SETTINGS if name == "tableau" else _SETTINGS:
+            flag, options = _SETTINGS[key]
+            p.add_argument(flag, dest=key, **options, **live.get(key, {}))
 
     repro = sub.add_parser("reproduce-paper", help="run the full published benchmark set")
     repro.add_argument("--out-dir", default="results", help="output directory")
@@ -536,6 +538,7 @@ _SETTINGS = {
     "steps": ("--steps", dict(help="comma list of step sizes, e.g. pi/30,pi/60")),
     "horizon": ("--horizon", dict(help="integration time, e.g. 20pi or 1000")),
 }
+_TABLEAU_SETTINGS = ("method", "s", "k", "out")  # the settings a tableau reads
 
 
 def _load_config(path: str, keys: list) -> dict:
@@ -557,7 +560,7 @@ def _load_config(path: str, keys: list) -> dict:
 
 def _spec_from_args(args: argparse.Namespace, env_tol: Optional[float]) -> ExperimentSpec:
     # rising precedence: ELIM_FP_TOL, the --config file, the flags given
-    values = {} if env_tol is None else {"tol": env_tol}
+    values = {} if env_tol is None or not hasattr(args, "tol") else {"tol": env_tol}
     if args.config:
         values.update(_load_config(args.config, [key for key in _SETTINGS if hasattr(args, key)]))
     for key in _SETTINGS:

@@ -10,9 +10,8 @@ whether NumPy dispatches its X86_V4 (AVX-512) loops).  OpenBLAS picks its
 core itself unless OPENBLAS_CORETYPE names one.  ("SkylakeX", True) is the
 AVX-512 CPU the records were made on, ("Haswell", True) the same CPU under
 OPENBLAS_CORETYPE=Haswell, and ("SkylakeX", False) the same CPU with
-NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4", recorded so far
-only for pins those loops do not reach.  An arithmetic with no recorded
-digests fails by name.
+NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4".  An arithmetic
+with no recorded digests fails by name.
 """
 
 import ctypes
@@ -54,6 +53,12 @@ def _openblas_core():
 
 
 ARITHMETIC = (_openblas_core(), bool(__cpu_features__.get("X86_V4")))
+
+
+def _avx512_moves(digest, off):
+    """A pin the Haswell kernel keeps and NumPy's non-AVX-512 loops move: digest
+    under ("SkylakeX", True) and ("Haswell", True), off under ("SkylakeX", False)."""
+    return {("SkylakeX", True): digest, ("Haswell", True): digest, ("SkylakeX", False): off}
 
 
 def _recorded(digests):

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +155,19 @@ def test_drift_slope_on_synthetic_data():
     for times, errors in ((t, t[:-1]), (t[:1], t[:1])):
         with pytest.raises(ValueError, match="equal-length with >= 2 samples"):
             drift_slope(times, errors)
+
+
+def test_drift_slope_is_the_exact_slope_of_a_series_far_above_its_trend():
+    # an error of mean 1.5e-6 against a trend of 4.5e-11 over t = 0 .. 200:
+    # the sums cancel in all but their last digits, yet the slope is the
+    # exact least-squares slope of these floats, taken in Fractions, to 4 ulps
+    t = 0.1 * np.arange(2001)
+    e = 1e-6 * (1.0 + np.sin(0.37 * t) ** 2) + 3.6e-13 * t
+    exact_t, exact_e = [list(map(Fraction, a.tolist())) for a in (t, e)]
+    mean_t, mean_e = sum(exact_t) / len(t), sum(exact_e) / len(e)
+    dt = [x - mean_t for x in exact_t]
+    exact = float(sum(d * (x - mean_e) for d, x in zip(dt, exact_e)) / sum(d * d for d in dt))
+    assert abs(drift_slope(t, e) - exact) <= 4 * np.finfo(float).eps * abs(exact)
 
 
 def test_drift_report_fields_and_flags():

@@ -10,6 +10,7 @@ import json
 import math
 import random
 import shutil
+import warnings
 from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -40,7 +41,8 @@ from linteg import (
     xi_coefficient,
 )
 from linteg.analysis import drift_slope
-from linteg.harness import _SETTINGS, ExperimentSpec, main, parse_step_size, run_experiment
+from linteg.harness import _SETTINGS, _TABLEAU_SETTINGS, ExperimentSpec, main, parse_step_size
+from linteg.harness import run_experiment
 
 # ints, bools, non-finite and extreme floats, integers past any float or
 # array dimension, NumPy scalars from int8 and float16 to longdouble, 0-d and
@@ -115,9 +117,16 @@ ARRAYS = [
     np.array([0.4, 0.1, 0.2, 1.9], dtype=np.float32), Y0, Y0.tolist(),
 ]
 
-# times np.polyfit cannot fit a line against: non-finite, all equal, and so
-# small or so large that their squares sum to 0 or overflow
-TIMES = [[0, math.nan], [0, math.inf], [1, 1], [1e-170, 2e-170], [0, 5e-324], [1e200, 2e200]]
+# times no line can be fitted against: non-finite, all equal, and so close
+# or so far apart that their squared deviations from their mean sum to 0 or
+# overflow; the last two make math.fsum itself refuse their sum (inf - inf,
+# a finite sum past the float range)
+TIMES = [[0, math.nan], [0, math.inf], [1, 1], [1e-170, 2e-170], [0, 5e-324], [1e200, 2e200],
+         [-math.inf, math.inf], [1.5e308, 1.5e308]]
+
+# distinct times one unit in the last place apart, and the exact slopes of
+# their least-squares lines against errors [1, 2]
+CLOSE_TIMES = {(1, 1 + 2**-52): 2.0**52, (5, 5 + 2**-50): 2.0**50}
 
 # each public entry point's array arguments, one at a time, the others valid;
 # the two-array helpers take a pair
@@ -202,10 +211,10 @@ def test_random_specs_return_or_raise_config_error(tmp_path, monkeypatch, capsys
 def test_each_array_argument_returns_or_raises_config_error(capfd):
     # every array of ARRAYS in each single slot, and seeded pairs of them
     # (each array with itself included) in the two-array slots, then each of
-    # TIMES with errors of its length; nothing reaches stderr (LAPACK prints there)
+    # TIMES and CLOSE_TIMES with errors of its length; nothing reaches stderr
     rng = random.Random(0)
     pairs = [(a, a) for a in ARRAYS] + [(rng.choice(ARRAYS), rng.choice(ARRAYS)) for _ in range(300)]
-    pairs += [(times, [1, 2]) for times in TIMES]
+    pairs += [(times, [1, 2]) for times in [*TIMES, *map(list, CLOSE_TIMES)]]
     unexpected = {}
     for slot, call in ARRAY_SLOTS.items():
         outcomes = _outcomes(call, pairs if "," in slot else ARRAYS)
@@ -214,6 +223,25 @@ def test_each_array_argument_returns_or_raises_config_error(capfd):
         assert "returned" in outcomes, slot
     assert unexpected == dict.fromkeys(ARRAY_SLOTS, [])
     assert capfd.readouterr().err == ""
+    # the close times are fitted, to their exact slopes
+    assert [drift_slope(list(t), [1, 2]) for t in CLOSE_TIMES] == list(CLOSE_TIMES.values())
+
+
+def test_drift_fits_refuse_or_fit_without_a_warning(capfd):
+    # outside np.errstate, and with every warning an error: each of TIMES
+    # breaks the one rule of a fit, and each of CLOSE_TIMES gets its slope
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for times in TIMES:
+            with pytest.raises(ConfigError, match=r"^times need squared deviations from their "
+                                                  r"mean summing into \(0, inf\)$"):
+                drift_slope(times, [1, 2])
+        for times, slope in CLOSE_TIMES.items():
+            assert drift_slope(list(times), [1, 2]) == slope
+        # errors whose sums math.fsum refuses give no slope
+        for errors in ([math.inf, -math.inf], [1.5e308, 1.5e308]):
+            assert math.isnan(drift_slope([0, 1], errors))
+    assert capfd.readouterr() == ("", "")
 
 
 def _json_representable(value):
@@ -237,7 +265,7 @@ CONFIGS = {
 def test_each_config_key_exits_0_or_2_and_a_refusal_writes_nothing(tmp_path, monkeypatch, capsys):
     # each JSON value of VALUES under each key of _SETTINGS, then seeded draws
     # changing several keys at once, through main; a key tableau has no flag
-    # for is refused as unknown
+    # for (any but _TABLEAU_SETTINGS) is refused as unknown
     values = [v for v in VALUES if _json_representable(v)]
     rng = random.Random(0)
     files = [(name, {**base, key: v}) for name, base in CONFIGS.items() for key in _SETTINGS
@@ -256,7 +284,7 @@ def test_each_config_key_exits_0_or_2_and_a_refusal_writes_nothing(tmp_path, mon
         capsys.readouterr()
         codes.append(main([name, "--config", str(cfg)]))
         out, written = capsys.readouterr().out, sorted(p.name for p in run.iterdir())
-        refused = name == "tableau" and not {"steps", "horizon"}.isdisjoint(settings)
+        refused = name == "tableau" and not set(settings) <= set(_TABLEAU_SETTINGS)
         if codes[-1] not in ((2,) if refused else (0, 2)) or codes[-1] == 2 and (out or written):
             unexpected.append((name, settings, codes[-1], out, written))
         for path in run.iterdir():

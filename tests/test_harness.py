@@ -32,7 +32,7 @@ from linteg.problems import (
 )
 from linteg.tableau import build_hbvm_tableau
 
-from conftest import _recorded
+from conftest import _avx512_moves, _recorded
 
 
 def test_parse_step_size():
@@ -236,14 +236,17 @@ def test_validation_fails_before_writing(tmp_path, capsys, monkeypatch):
         ])
         assert code == 2
         assert not out.exists()
-    # an unbound orbit fails the same way when no integration would follow
-    assert main(["tableau", "-s", "2", "--eccentricity", "1", "--out", str(out)]) == 2
+    # a tableau builds no orbit, so it takes no --eccentricity at all
+    with pytest.raises(SystemExit) as refused:
+        main(["tableau", "-s", "2", "--eccentricity", "1", "--out", str(out)])
+    assert refused.value.code == 2
     assert not out.exists()
     # nothing was integrated, so no run was reported
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "horizon 1.0 / step size 1e-300" in captured.err
-    assert captured.err.count("eccentricity must lie in [0, 1), got 1.0") == 2
+    assert "unrecognized arguments: --eccentricity 1" in captured.err
+    assert captured.err.count("eccentricity must lie in [0, 1), got 1.0") == 1
     assert "invariant selections are defined for the kepler problem" in captured.err
     # a problem name that is no entry of the problems table, an oscillator
     # degree the table does not hold included
@@ -309,15 +312,17 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     [line] = captured.out.splitlines()
     assert line.startswith("h=0.1  n=150  error=")
+    residual = _recorded(_avx512_moves("2.842e-14", off="2.731e-14"))
     assert captured.err == (
-        "error: step 26 of 30: no fixed point after 200 sweeps (residual 2.842e-14, h=0.5)\n"
+        f"error: step 26 of 30: no fixed point after 200 sweeps (residual {residual}, h=0.5)\n"
     )
 
 
 def test_overflowing_stages_fail_the_run(tmp_path, capsys):
-    # at h = 1e300 the stages overflow; no step is taken as converged
+    # at h = 1e300 the stages overflow; no step is taken as converged (a
+    # drift run at this step fails before, as no line fits its times)
     out = tmp_path / "x.csv"
-    argv = ["drift", "--method", "hbvm", "-s", "2", "-k", "4", "--steps", "1e300",
+    argv = ["iterations", "--method", "hbvm", "-s", "2", "-k", "4", "--steps", "1e300",
             "--horizon", "1e300", "--out", str(out)]
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(argv) == 1
@@ -386,6 +391,23 @@ def test_out_directories_are_made_before_any_integration(tmp_path, monkeypatch, 
     assert main(["reproduce-paper", "--out-dir", "deep/er"]) == 1
     assert calls == [True, True]
     capsys.readouterr()
+
+
+def test_drift_times_no_line_fits_fail_before_any_integration(tmp_path, monkeypatch, capsys):
+    # steps of 1e-170 give times whose squared deviations from their mean
+    # underflow to 0, and a step of 1e300 times whose squared deviations
+    # overflow, so drift_report could fit no slope: validate refuses both
+    calls = []
+    monkeypatch.setattr(harness, "integrate", _stop_at_integration(calls))
+    out = tmp_path / "x.csv"
+    for steps, horizon in (("1e-170", "2e-170"), ("1e300", "1e300")):
+        argv = ["drift", "--method", "hbvm", "-s", "2", "-k", "4", "--steps", steps,
+                "--horizon", horizon, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: times need squared deviations from their mean summing into (0, inf)\n"
+        )
+    assert calls == [] and not out.exists()
 
 
 def test_spec_fields_of_the_wrong_type_are_named_before_any_integration(monkeypatch):
@@ -619,6 +641,10 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         # a file takes exactly the keys of the subcommand's flags: tableau has no --steps
         ("tableau", {"horizon": 5}, "unknown config keys: ['horizon']"),
         ("tableau", {"steps": "pi/8"}, "unknown config keys: ['steps']"),
+        # nor the settings a tableau does not read
+        ("tableau", {"s": 2, "eccentricity": 1}, "unknown config keys: ['eccentricity']"),
+        ("tableau", {"problem": "kepler", "invariants": "L1L2", "r": 7, "tol": 1e-10},
+         "unknown config keys: ['invariants', 'problem', 'r', 'tol']"),
     )
     capsys.readouterr()
     for experiment, payload, message in cases:
@@ -717,7 +743,7 @@ def test_orders_divide_by_the_step_ratio(tmp_path, capsys):
     ]) == 0
     orders = [row["order"] for row in _read_csv(out)]
     assert orders[0] == "" and 5.5 <= float(orders[1]) <= 6.5
-    assert orders[2] == "5.998763986556885"
+    assert orders[2] == _recorded(_avx512_moves("5.998763986556885", off="5.998763974252791"))
     # the alpha of a nu = 1 run is O(h^2), from 0.3 to 0.1 too
     assert main([
         "alpha-norm", "--method", "elim", "--invariants", "L1", "-s", "3", "-k", "12",
@@ -823,7 +849,8 @@ def _small_paper(monkeypatch):
 
 # sha256 of each file of the small run, so a change that moves one bit of
 # any output shows here; a change meant to move bits refreshes these.  Per
-# arithmetic (see conftest): the Haswell kernel moves the files ELIM runs write into
+# arithmetic (see conftest): the Haswell kernel moves the files ELIM runs write into,
+# and NumPy's non-AVX-512 loops those and iterations.csv
 _SMALL_PAPER_SKYLAKEX = {
     "alpha_components.csv": "7c059dba54f026f8fc2823b0642742f854f9b6efc0d8850b3d552554926cbff4",
     "alpha_norms.csv": "5322781fd78159baeb98b0be96daed30f63d7bde9185b649bd0da974727796c5",
@@ -844,6 +871,15 @@ SMALL_PAPER_SHA256 = {
         "convergence.csv": "37570782cd34049bd0d38eb4a2d4afdcb2e57939e3ceacb88663e31ca5eace5d",
         "drift_ehbvm_12_3_L1.csv": "c92f1646dee817b40314c230972f9de38543fde2343d9ae16e15078bd2a491da",
         "drift_ehbvm_12_3_L1L2.csv": "e7bc8684ebfa5a042d43c6c4476d4d071d2b5ac1e95df79207efb2a7be7c2a6e",
+    },
+    ("SkylakeX", False): {
+        **_SMALL_PAPER_SKYLAKEX,
+        "alpha_components.csv": "8aa0b59f9f9847d7dd9bbb1b44da3059af01ecee38d9116f5c4a18164d6c0416",
+        "alpha_norms.csv": "1c0b1dfadeb500482c8d2709c5c6484906948d83feed5a416d44d4c85a1e9b85",
+        "convergence.csv": "102fa876222b572b4618eb51f87123f3ef946cf02b5388755f71f2b57dded203",
+        "drift_ehbvm_12_3_L1.csv": "e79e2fd90a07a6989039e181ca0f8b83ab5ea805d0354616f8fa14c3fb6c0451",
+        "drift_ehbvm_12_3_L1L2.csv": "2deb92c65f7c78b42cecc91fed9d243f7dd8c77047862e4b21b216f55b9a2a77",
+        "iterations.csv": "86e25c0d8c1b6a07067cdca5ce30a497593a669f4a769b1ba5ae01cb90dc353b",
     },
 }
 
@@ -1033,7 +1069,7 @@ def test_a_problem_added_to_the_problems_table_runs_every_subcommand(tmp_path, m
     assert list(rows[0]) == ["n", "t", "h_error", "err_Lz", "alpha_1", "iterations", "fallback"]
     assert len(rows) == 21 and max(abs(float(row["err_Lz"])) for row in rows) < 1e-13
     assert "max|Lz err|=" in capsys.readouterr().out
-    assert main(["tableau", *toy]) == 0
+    assert main(["tableau", "-s", "3", "-k", "6"]) == 0  # a tableau takes no problem
 
     # the new problem and label are choices, the label only for the problem
     # that defines it, and the help and error texts name them from the table
@@ -1070,22 +1106,27 @@ _CLI_BATTERY = [
     ("alpha-norm --help", 0, "abafb4876cd64ebb", "e3b0c44298fc1c14", None),
     ("iterations --help", 0, "1a81cb548f710fa6", "e3b0c44298fc1c14", None),
     ("drift --help", 0, "09991774a75981f8", "e3b0c44298fc1c14", None),
-    ("tableau --help", 0, "98d707273a4f9888", "e3b0c44298fc1c14", None),
+    ("tableau --help", 0, "7d9a773e79c86be8", "e3b0c44298fc1c14", None),
     ("reproduce-paper --help", 0, "fad3999ac920a864", "e3b0c44298fc1c14", None),
-    ("convergence --method hbvm -s 2 -k 4 --steps pi/8,pi/16 --horizon 2pi --out out.csv",
-     0, "bc5e3aa1f4a40356", "e3b0c44298fc1c14", "167a8478562d1d28"),
+    ("convergence --method hbvm -s 2 -k 4 --steps pi/8,pi/16 --horizon 2pi --out out.csv", 0,
+     _avx512_moves("bc5e3aa1f4a40356", off="bc23fdd97b447135"), "e3b0c44298fc1c14",
+     _avx512_moves("167a8478562d1d28", off="24dcfdce3da0a807")),
     ("convergence --method elim --invariants L1L2 -s 3 -k 6 --steps 0.25,0.125 --horizon 1 "
-     "--out out.csv", 0, "6c07693ab8215583", "e3b0c44298fc1c14", "8d67547f46f39d73"),
+     "--out out.csv", 0, _avx512_moves("6c07693ab8215583", off="fce1245d11daec9a"),
+     "e3b0c44298fc1c14", _avx512_moves("8d67547f46f39d73", off="bcd87fbe3f8066d0")),
     ("convergence --problem oscillator4 --method gauss -s 2 --steps 0.25,0.125 --horizon 1 "
      "--out out.csv", 0, "653e4d41900ac312", "e3b0c44298fc1c14", "e2a24a8fa5ebf082"),
     ("alpha-norm --method elim --invariants L1 -s 3 -k 6 --eccentricity 0.3 --steps 0.2,0.1 "
-     "--horizon 0.4 --out out.csv", 0, "db18543adb2b9c38", "e3b0c44298fc1c14", "fc5434d15ee6b60a"),
+     "--horizon 0.4 --out out.csv", 0, _avx512_moves("db18543adb2b9c38", off="59f024fb97203122"),
+     "e3b0c44298fc1c14", _avx512_moves("fc5434d15ee6b60a", off="6ed0f1dadd4d1f0e")),
     ("iterations --method hbvm -s 3 -k 12 --steps 0.2,0.1 --horizon 0.4 --out out.csv",
      0, "5d539531c4c2ca97", "e3b0c44298fc1c14", "0d81fa121747c1dc"),
     ("drift --method elim --invariants L1L2 -s 3 -k 12 " + _RUN, 0,
-     {("SkylakeX", True): "10d741d469fb03e6", ("Haswell", True): "bb841788fd656871"},
+     {("SkylakeX", True): "bc7a130a6532ff61", ("Haswell", True): "809907398a13a41a",
+      ("SkylakeX", False): "2225a4a7da38d52f"},
      "e3b0c44298fc1c14",
-     {("SkylakeX", True): "f144ae4fe9975c18", ("Haswell", True): "e7bc8684ebfa5a04"}),
+     {("SkylakeX", True): "f144ae4fe9975c18", ("Haswell", True): "e7bc8684ebfa5a04",
+      ("SkylakeX", False): "2deb92c65f7c78b4"}),
     ("drift --problem oscillator2 --method hbvm -s 2 -k 4 " + _RUN,
      0, "8dd54317095c684f", "e3b0c44298fc1c14", "2d395843080e1c5c"),
     ("tableau -s 2 -k 3", 0, "ec84e72f127da3a9", "e3b0c44298fc1c14", None),
@@ -1102,6 +1143,12 @@ _CLI_BATTERY = [
     ("drift --method elim --config cfg.json " + _RUN, 2, "e3b0c44298fc1c14", "5582218439a660f9", None),
     ("drift --eccentricity 1 " + _RUN, 2, "e3b0c44298fc1c14", "afb01d7bfa43eb16", None),
     ("convergence --steps 0.1 --horizon 1", 2, "e3b0c44298fc1c14", "7676fa35bbf06f89", None),
+    # a tableau takes only --method, -s, -k, --out and --config
+    ("tableau -s 3 -k 4 --method elim --invariants L1L2 -r 7", 2, "e3b0c44298fc1c14",
+     "6c3a82811acc4d08", None),
+    ("tableau -s 2 -k 3 --eccentricity 1", 2, "e3b0c44298fc1c14", "7361b42681f1c79c", None),
+    ("tableau --problem oscillator4 --tol 1e-10", 2, "e3b0c44298fc1c14", "2b4a62ecded93017",
+     None),
 ]
 
 

@@ -38,7 +38,7 @@ from linteg.problems import (
 )
 from linteg.tableau import build_hbvm_tableau
 
-from conftest import _recorded
+from conftest import _avx512_moves, _recorded
 
 GAUSS_A = {
     1: np.array([[0.5]]),
@@ -513,10 +513,16 @@ NU2_RUN_SHA256 = {
             "6c0c7c459c983fa58155977ab45c3af07a676691810940df72ed7a1e5adbc474",
             "5b27e117ed3d5203e2b6f779fe641988cf48b6635744b1a9105e611d3956b022",
         ),
+        ("SkylakeX", False): (
+            "c8f70dbf0032021ad4566acceb318c876febf7048c0a2689b868903914834ef7",
+            "db4a5c469f4b11fdc1c61d09fd7ac03c76cf4583fd52951f315a6995187252e9",
+        ),
     },
-    (8, 12, 12): (
-        "2180737d9c1d77f088ce80455b76830623373f4ebd9098fb205f44bd24bafcb0",
-        "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865",
+    (8, 12, 12): _avx512_moves(
+        ("2180737d9c1d77f088ce80455b76830623373f4ebd9098fb205f44bd24bafcb0",
+         "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865"),
+        off=("d9eafd72a9d41a25ddde92bf8e77d0adfee3e29f7d73d3d1722424d2a996452c",
+             "e61f41d57db208c5f92a35c4ce7198570924a3fc87eeba83441fceee5d6a2865"),
     ),
 }
 
@@ -542,9 +548,11 @@ def test_nu2_runs_off_the_fingerprinted_path_are_pinned(s, k, r):
 # of the per-step alpha where there is one; a run the arithmetic moves is
 # keyed by arithmetic (see conftest).
 OFF_PATH_RUN_SHA256 = {
-    ("angular_momentum_only", 8, 12, 12, 0.2, 50): (
-        "caae736a59651b74c7e2251d9388bbcedd65ca8ec96b30abe14dccafd3f6b96d",
-        "193432fdf2c0a8f54c3f36bd73679beb68d7b4723d6d3e07cd63ea9bb726fe83",
+    ("angular_momentum_only", 8, 12, 12, 0.2, 50): _avx512_moves(
+        ("caae736a59651b74c7e2251d9388bbcedd65ca8ec96b30abe14dccafd3f6b96d",
+         "193432fdf2c0a8f54c3f36bd73679beb68d7b4723d6d3e07cd63ea9bb726fe83"),
+        off=("a8011cf32b6ce7a90a7f7e243923fbf515417a9aaf44771277ad65e41d9fd9a7",
+             "79958c4dd83757190c0df8ab34e1864820660961f9d4de86624a558c3b368e10"),
     ),
     ("angular_momentum_only", 3, 12, 8, 0.1, 100): {
         ("SkylakeX", True): (
@@ -555,13 +563,19 @@ OFF_PATH_RUN_SHA256 = {
             "95411b2f1139d1f3bc9d4348bffb620e6971702403a4dca010be917fd7e4b721",
             "dd83e9470ef79df3c5f27cb8ef116dc7a72b9561a6932a09fb388c0abb53ee27",
         ),
+        ("SkylakeX", False): (
+            "4bc2ebac1dc9c9fffc220813b51a9a760a69854f98fd97b114072d3a32601a6f",
+            "d0d915d277d51b0435beb1b2b356dfa0f0223a269dfce4c52e98e7fa2c7e6e5f",
+        ),
     },
     (None, 3, 16, None, 0.1, 100): {
         ("SkylakeX", True): ("b8432bfd0cdf6d1c9af8c2aa078a9f7ac31d99dc761178219cda09f35f22f2e8",),
         ("Haswell", True): ("f880c860620dcc043e6e072e5067bc2cc8c8cef14e63350b17eca366ffce7133",),
+        ("SkylakeX", False): ("bf416b13a7c8bf384e05b9b8527202b744474c9ba35b55218f5129bae21d8044",),
     },
-    (None, 3, 12, None, -0.1, 100): (
-        "5cb395df94c34b38e5df78591e08c84179205a2c94d2eb41d1d9c05232d9637c",
+    (None, 3, 12, None, -0.1, 100): _avx512_moves(
+        ("5cb395df94c34b38e5df78591e08c84179205a2c94d2eb41d1d9c05232d9637c",),
+        off=("8e8ff87c5a612c0bcb1196b6b4877d07cfca601596fe7b521b249d1d19a30e8b",),
     ),
     ("angular_momentum_and_lrl", 3, 12, 12, -0.1, 100): {
         ("SkylakeX", True): (
@@ -572,6 +586,10 @@ OFF_PATH_RUN_SHA256 = {
             "d140dc362f68525a235d2198b2c38caa8e2552b1debb2cbfa8eb277a1a9b4582",
             "629fdb0c4e7b0f7a22cc4782678b81ab2f9034c9ef20c5745422815f96888d36",
         ),
+        ("SkylakeX", False): (
+            "546be892be9c38cdbffbcc0edd9451a354bcd63f40faec66346a70569f23f85d",
+            "8087ed51931b015adfb6b4692ed989c9aac6d82a3c249bfe82964ae600004519",
+        ),
     },
     ("angular_momentum_only", 3, 12, 12, -0.1, 100): {
         ("SkylakeX", True): (
@@ -581,6 +599,10 @@ OFF_PATH_RUN_SHA256 = {
         ("Haswell", True): (
             "1d220fc11cfb64db505a39dc10970619f3e95ab604765b18a7768f335b25e7cd",
             "0ab1af5edcdf411f48c6d94e5db49e8800a22e6ffa3f33c0c6848486c6c3a525",
+        ),
+        ("SkylakeX", False): (
+            "fe24cd1600df5d2956a4e9b839cdf8e7dc2db1a4b0952de80613aaeda7518002",
+            "a90e456bd6bdccce9379a7108c21aab546748fb2a49035aa30145943c90387d1",
         ),
     },
 }
